@@ -30,7 +30,6 @@ from .harness import (
     paper_grid,
     run_sweep,
     simulate_pair,
-    time_index,
     timing_table,
 )
 from .info import (
@@ -45,7 +44,7 @@ from .info import (
     te_hist,
     te_ksg,
 )
-from .neighbors import PointSet, count_within, knn, knn_all, range_query, seeded_jitter
+from .neighbors import PointSet, knn, knn_all, seeded_jitter
 from .oracle import (
     LpAuxiliary,
     ctir_lp_analytic,

@@ -168,11 +168,7 @@ def build_parser() -> _Parser:
 def _indices_list(text: str) -> tuple:
     if text == "all":
         return harness.INDEX_NAMES
-    names = tuple(n.strip() for n in text.split(",") if n.strip())
-    unknown = set(names) - set(harness.INDEX_NAMES)
-    if unknown:
-        raise ValidationError(f"unknown indices: {sorted(unknown)}")
-    return names
+    return harness.check_index_names(n.strip() for n in text.split(",") if n.strip())
 
 
 def _grid_for(simulation: str, text: str):

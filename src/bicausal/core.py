@@ -70,17 +70,6 @@ class SeriesPair:
     def T(self) -> int:
         return len(self.x)
 
-    @property
-    def has_missing(self) -> bool:
-        return bool(self.x_missing.any() or self.y_missing.any())
-
-    def series(self, which: str) -> np.ndarray:
-        if which == "x":
-            return self.x
-        if which == "y":
-            return self.y
-        raise ValidationError(f"unknown series {which!r}")
-
 
 @dataclass(frozen=True)
 class EmbeddingSpec:

@@ -33,15 +33,12 @@ class CcmParams:
     n_t: int = 40
     delta_rho: float = 0.05
     library_sizes: tuple | None = None
-    n_grid: int = 20
     metric: str = "l2"
     seed: int = 0
 
     def __post_init__(self):
         if self.n_t < 1:
             raise ValidationError("need at least one segment per size")
-        if self.n_grid < 2:
-            raise ValidationError("need at least the two endpoint sizes")
         metric_p(self.metric)
 
 
@@ -54,8 +51,10 @@ def _mean_sq_dist_to_all(emb: np.ndarray) -> np.ndarray:
     return total / (n - 1)
 
 
-def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, IndexEstimate]:
-    """Both similarity indices at once.
+def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
+            p2: SiParams | None = None) -> tuple[IndexEstimate, IndexEstimate]:
+    """Both similarity indices at once: si1 with p.R neighbours, si2 with
+    p2.R (default p.R).
 
     With own-space neighbour distances r^R(t), cross-mapped distances
     r^R(t | other) (distances to the points picked by the *other* series'
@@ -65,25 +64,32 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, I
         si2 = mean log( r^R(t) / r^R(t | other) )
 
     Squared euclidean distances throughout; identical series give si2 = 0.
+    One kNN graph per series at the larger R serves both indices: rows are
+    in exact (distance, index) order, so its first R columns are the R-NN
+    graph. When only the larger R does not fit the rows, that index is
+    degenerate with NaN values.
 
     At independence r^R(t | other) is a distance to effectively random
     points, so each direction's value is set by the geometry of its own
     embedding. D = value_xy - value_yx is therefore zero at zero coupling
     only when the two series share their dynamics.
     """
+    p2 = p if p2 is None else p2
+    if p2.metric != p.metric:
+        raise ValidationError("si1 and si2 must use the same metric")
     n = dm.n_rows
-    if n <= p.R + 1:
+    if n <= min(p.R, p2.R) + 1:
         raise InsufficientPointsError("need more rows than neighbours")
-    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(p)}
+    fitting = sorted({q.R for q in (p, p2) if n > q.R + 1})
 
     t0 = time.perf_counter()
-    idx_x, _ = knn_all(PointSet(dm.x_emb), p.R, p.metric)
-    idx_y, _ = knn_all(PointSet(dm.y_emb), p.R, p.metric)
+    idx_x, _ = knn_all(PointSet(dm.x_emb), fitting[-1], p.metric)
+    idx_y, _ = knn_all(PointSet(dm.y_emb), fitting[-1], p.metric)
 
-    def direction(emb, own_idx, mapped_idx):
+    def direction(emb, own_idx, mapped_idx, R):
         # mean squared distance to a set of neighbour indices, in emb's space
         def msd(nbr):
-            diff = emb[:, None, :] - emb[nbr]
+            diff = emb[:, None, :] - emb[nbr[:, :R]]
             return (diff**2).sum(axis=2).mean(axis=1)
 
         r_own = msd(own_idx)
@@ -96,15 +102,24 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, I
         si2 = float(np.mean(np.log(r_own / r_map)))
         return si1, si2, floored
 
-    si1_yx, si2_yx, f1 = direction(dm.x_emb, idx_x, idx_y)
-    si1_xy, si2_xy, f2 = direction(dm.y_emb, idx_y, idx_x)
+    values, status = {}, {}  # (name, R) -> (value_xy, value_yx); R -> status
+    for R in fitting:
+        si1_yx, si2_yx, f1 = direction(dm.x_emb, idx_x, idx_y, R)
+        si1_xy, si2_xy, f2 = direction(dm.y_emb, idx_y, idx_x, R)
+        values["si1", R] = (si1_xy, si1_yx)
+        values["si2", R] = (si2_xy, si2_yx)
+        status[R] = STATUS_DEGENERATE if (f1 or f2) else STATUS_OK
     elapsed = (time.perf_counter() - t0) / 4
 
-    status = STATUS_DEGENERATE if (f1 or f2) else STATUS_OK
-    return (
-        IndexEstimate("si1", si1_xy, si1_yx, elapsed, elapsed, params, status),
-        IndexEstimate("si2", si2_xy, si2_yx, elapsed, elapsed, params, status),
-    )
+    def estimate(name, q):
+        if q.R not in status:
+            return IndexEstimate(name, float("nan"), float("nan"), 0.0, 0.0, {},
+                                 STATUS_DEGENERATE)
+        params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(q)}
+        return IndexEstimate(name, *values[name, q.R], elapsed, elapsed, params,
+                             status[q.R])
+
+    return estimate("si1", p), estimate("si2", p2)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,8 +1,15 @@
-"""Sweep execution, per-simulation parameter presets, correlation matrices,
-timing capture and CSV/manifest persistence."""
+"""Sweep execution, per-simulation parameter presets, the index table,
+correlation matrices, timing summaries and CSV/manifest persistence.
+
+`INDEX_TABLE` gives, for each of the ten indices, the embedding it reads and
+the estimator call, with its preset parameters, that computes it;
+`compute_indices` runs the requested entries on one pair. si1 and si2 share
+one entry, so one `crossmap.si_pair` call yields both.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -23,11 +30,49 @@ from .core import (
     embed,
 )
 from .errors import BicausalError, ValidationError
-from .perturb import ULAM_SYNC_WINDOWS, PerturbationSpec, apply_perturbation
+from .perturb import (
+    ULAM_SYNC_WINDOWS,
+    PerturbationSpec,
+    apply_perturbation,
+    point_in_windows,
+)
 
 SIMULATIONS = ("lp", "ulam", "henon_uni", "henon_bi_i", "henon_bi_ni")
-INDEX_NAMES = ("egc", "nlgc", "pi", "te_hist", "ete_hist", "te_ksg", "ctir",
-               "si1", "si2", "ccm")
+
+# name -> (embedding dimension, call(data, presets)). The dimension is a
+# preset key or a fixed m, and the call gets that delay matrix; None gives
+# the call the pair itself. Each call looks its estimator up on the module
+# when it runs, never binding it at import, so that wrappers placed on the
+# module attribute (perfbench/tracing.py times each layer that way) see every
+# call. si1 and si2 share one entry, which runs once per pair.
+_SI = ("m", lambda dm, ps: crossmap.si_pair(dm, ps["si1"], ps["si2"]))
+INDEX_TABLE = {
+    "egc": ("m", lambda dm, ps: regress.egc(dm, ps["egc"])),
+    "nlgc": ("m", lambda dm, ps: regress.nlgc(dm, ps["nlgc"])),
+    "pi": ("pi_m", lambda dm, ps: regress.pi(dm, ps["pi"])),
+    "te_hist": (1, lambda dm, ps: info.te_hist(dm, ps["te_hist"])),
+    "ete_hist": (1, lambda dm, ps: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"])),
+    "te_ksg": (1, lambda dm, ps: info.te_ksg(dm, ps["te_ksg"])),
+    "ctir": (None, lambda pair, ps: info.ctir(pair, ps["ctir"])),
+    "si1": _SI,
+    "si2": _SI,
+    "ccm": ("m", lambda dm, ps: crossmap.ccm(dm, ps["ccm"])),
+}
+INDEX_NAMES = tuple(INDEX_TABLE)
+
+
+def check_index_names(names) -> tuple:
+    """The requested index names as a tuple; unknown or repeated names are a
+    ValidationError."""
+    names = tuple(names)
+    unknown = set(names) - set(INDEX_NAMES)
+    if unknown:
+        raise ValidationError(f"unknown indices: {sorted(unknown)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValidationError(f"repeated indices: {repeated}")
+    return names
+
 
 CSV_HEADER = ["simulation", "lambda_xy", "lambda_yx", "run", "index",
               "direction", "value", "elapsed_seconds", "status"]
@@ -160,10 +205,7 @@ class SweepConfig:
         object.__setattr__(self, "couplings", points)
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
-        unknown = set(self.indices) - set(INDEX_NAMES)
-        if unknown:
-            raise ValidationError(f"unknown indices: {sorted(unknown)}")
-        object.__setattr__(self, "indices", tuple(self.indices))
+        object.__setattr__(self, "indices", check_index_names(self.indices))
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
@@ -246,11 +288,13 @@ def _degenerate_estimate(name: str) -> IndexEstimate:
 
 def compute_indices(pair: SeriesPair, simulation: str, T: int,
                     indices=INDEX_NAMES) -> list[IndexEstimate]:
-    """All requested indices on one pair, using the simulation's presets.
+    """The requested indices on one pair, in the requested order, using the
+    simulation's presets.
 
     Estimator failures (too little data after missingness, degenerate fits,
     saturated estimators) become degenerate estimates, never exceptions.
     """
+    indices = check_index_names(indices)
     presets = index_presets(simulation, T)
     dms: dict[int, object] = {}
 
@@ -259,52 +303,23 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
             dms[m] = embed(pair, EmbeddingSpec(m=m, tau=presets["tau"], h=presets["h"]))
         return dms[m]
 
-    out = []
-
-    def guarded(name, fn):
+    got = {}
+    for m, call in dict.fromkeys(INDEX_TABLE[name] for name in indices):
+        m = presets[m] if isinstance(m, str) else m
         try:
-            est = fn()
+            result = call(pair if m is None else dm_for(m), presets)
         except BicausalError:
-            est = _degenerate_estimate(name)
-        out.append(est)
-
-    wanted = list(indices)
-    si_fused = ("si1" in wanted and "si2" in wanted
-                and presets["si1"].R == presets["si2"].R)
-    for name in wanted:
-        if name == "egc":
-            guarded(name, lambda: regress.egc(dm_for(presets["m"]), presets["egc"]))
-        elif name == "nlgc":
-            guarded(name, lambda: regress.nlgc(dm_for(presets["m"]), presets["nlgc"]))
-        elif name == "pi":
-            guarded(name, lambda: regress.pi(dm_for(presets["pi_m"]), presets["pi"]))
-        elif name == "te_hist":
-            guarded(name, lambda: info.te_hist(dm_for(1), presets["te_hist"]))
-        elif name == "ete_hist":
-            guarded(name, lambda: info.ete_hist(dm_for(1), presets["te_hist"],
-                                                presets["ete_hist"]))
-        elif name == "te_ksg":
-            guarded(name, lambda: info.te_ksg(dm_for(1), presets["te_ksg"]))
-        elif name == "ctir":
-            guarded(name, lambda: info.ctir(pair, presets["ctir"]))
-        elif name == "si1" and si_fused:
-            try:
-                out.extend(crossmap.si_pair(dm_for(presets["m"]), presets["si1"]))
-            except BicausalError:
-                out.extend([_degenerate_estimate("si1"), _degenerate_estimate("si2")])
-        elif name == "si2" and si_fused:
-            pass  # emitted together with si1
-        elif name == "si1":
-            guarded(name, lambda: crossmap.si_pair(dm_for(presets["m"]), presets["si1"])[0])
-        elif name == "si2":
-            guarded(name, lambda: crossmap.si_pair(dm_for(presets["m"]), presets["si2"])[1])
-        elif name == "ccm":
-            guarded(name, lambda: crossmap.ccm(dm_for(presets["m"]), presets["ccm"]))
-    return out
+            continue
+        for est in result if isinstance(result, tuple) else (result,):
+            got[est.index] = est
+    return [got[name] if name in got else _degenerate_estimate(name)
+            for name in indices]
 
 
-def _point_in_windows(point, windows) -> bool:
-    return any(lo <= lam <= hi for lam in point for lo, hi in windows)
+def _sim_length(cfg: SweepConfig) -> int:
+    """Length of each simulated series: T, or the data-size perturbation's."""
+    spec = cfg.perturbation
+    return spec.data_size if spec is not None and spec.kind == "data_size" else cfg.T
 
 
 def _run_unit(cfg: SweepConfig, point_index: int, run: int) -> list[Record]:
@@ -312,15 +327,13 @@ def _run_unit(cfg: SweepConfig, point_index: int, run: int) -> list[Record]:
     seed = cfg.base_seed + run
 
     if cfg.skip_synchrony and cfg.simulation == "ulam" and \
-            _point_in_windows(point, ULAM_SYNC_WINDOWS):
+            point_in_windows(point, ULAM_SYNC_WINDOWS):
         return [Record(cfg.simulation, point[0], point[1], run, name, direction,
                        float("nan"), 0.0, STATUS_SKIPPED_SYNCHRONY)
                 for name in cfg.indices for direction in ("xy", "yx")]
 
-    T_eff = cfg.T
+    T_eff = _sim_length(cfg)
     spec = cfg.perturbation
-    if spec is not None and spec.kind == "data_size":
-        T_eff = spec.data_size
     pair = simulate_pair(cfg.simulation, point, T_eff, seed)
     if spec is not None and spec.kind != "data_size":
         rng = np.random.default_rng([spec.seed, point_index, run])
@@ -348,10 +361,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         chunks = [_run_unit(cfg, i, r) for i, r in units]
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.lambda_xy, r.lambda_yx, r.run, r.index, r.direction))
-    T_eff = cfg.T
-    if cfg.perturbation is not None and cfg.perturbation.kind == "data_size":
-        T_eff = cfg.perturbation.data_size
-    return SweepResult(cfg.simulation, T_eff, cfg.runs, records)
+    return SweepResult(cfg.simulation, _sim_length(cfg), cfg.runs, records)
 
 
 def _run_unit_star(args):
@@ -360,13 +370,6 @@ def _run_unit_star(args):
 
 # ---------------------------------------------------------------------------
 # reporting
-
-
-def time_index(fn, *args, **kwargs):
-    """(result, elapsed wall-clock seconds) of one call."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - t0
 
 
 def timing_table(res: SweepResult) -> dict:
@@ -448,18 +451,37 @@ def sweep_to_csv(res: SweepResult, path):
                              repr(r.elapsed_seconds), r.status])
 
 
-def sweep_from_csv(path) -> SweepResult:
-    records = []
+def _csv_rows(path, what: str):
+    """(line number, row) of a CSV file, header first. Unreadable or empty
+    files are a ValidationError."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read sweep CSV {path}: {exc}")
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValidationError(f"unexpected sweep CSV header: {header}")
-        for row in reader:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} CSV {path}: {exc}")
+    if not rows:
+        raise ValidationError(f"{what} CSV {path} is empty")
+    return rows
+
+
+@contextlib.contextmanager
+def _csv_line(path, line: int):
+    """Turn a malformed row (wrong cell count, unparsable cell) into a
+    ValidationError naming the file and the line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValidationError(f"{path}, line {line}: {exc}") from None
+
+
+def sweep_from_csv(path) -> SweepResult:
+    (_, header), *rows = _csv_rows(path, "sweep")
+    if header != CSV_HEADER:
+        raise ValidationError(f"unexpected sweep CSV header: {header}")
+    records = []
+    for line, row in rows:
+        with _csv_line(path, line):
             sim, lxy, lyx, run, index, direction, value, elapsed, status = row
             records.append(Record(
                 sim, float(lxy), float(lyx), int(run), index, direction,
@@ -511,18 +533,14 @@ def pair_to_csv(pair: SeriesPair, path):
 
 def pair_from_csv(path) -> SeriesPair:
     xs, ys = [], []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read series CSV {path}: {exc}")
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["t", "x", "y"]:
-            raise ValidationError("series CSV must have header t,x,y")
-        for row in reader:
-            xs.append(float(row[1]) if row[1].strip() else float("nan"))
-            ys.append(float(row[2]) if row[2].strip() else float("nan"))
+    (_, header), *rows = _csv_rows(path, "series")
+    if [h.strip() for h in header] != ["t", "x", "y"]:
+        raise ValidationError("series CSV must have header t,x,y")
+    for line, row in rows:
+        with _csv_line(path, line):
+            _, x, y = row
+            xs.append(float(x) if x.strip() else float("nan"))
+            ys.append(float(y) if y.strip() else float("nan"))
     return SeriesPair(np.array(xs), np.array(ys))
 
 

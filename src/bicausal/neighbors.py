@@ -1,4 +1,4 @@
-"""Exact nearest-neighbour and range queries with deterministic tie-breaking.
+"""Exact nearest-neighbour queries with deterministic tie-breaking.
 
 All queries are exact (kd-tree backed, brute force for tiny sets). Ties in
 distance are always resolved toward the smaller point index so that every
@@ -185,32 +185,6 @@ def knn_all(pset: PointSet, k: int, metric: str = "l2",
     """k nearest neighbours of every member point against its own set."""
     exclude = np.arange(pset.n) if exclude_self else None
     return knn_points(pset, pset.points, k, metric, exclude)
-
-
-def count_within(pset: PointSet, query_index: int, radius: float,
-                 metric: str = "l2", strict: bool = False) -> int:
-    """Number of *other* points with distance < radius (strict) or <= radius."""
-    p = metric_p(metric)
-    if radius < 0:
-        raise ValidationError("radius must be non-negative")
-    r = radius
-    if strict:
-        r = np.nextafter(radius, -np.inf)
-        if r < 0:
-            return 0
-    hits = pset.tree.query_ball_point(pset.points[query_index], r=r, p=p,
-                                      return_length=True)
-    return int(hits) - 1  # the centre itself is always within any r >= 0
-
-
-def range_query(pset: PointSet, center_index: int, radius: float,
-                metric: str = "l2") -> list[int]:
-    """All points (excluding the centre) within `radius`, ascending index."""
-    p = metric_p(metric)
-    if radius < 0:
-        raise ValidationError("radius must be non-negative")
-    hits = pset.tree.query_ball_point(pset.points[center_index], r=radius, p=p)
-    return sorted(i for i in hits if i != center_index)
 
 
 def seeded_jitter(points: np.ndarray, scale: float, seed) -> np.ndarray:

@@ -109,7 +109,8 @@ class PerturbSummary:
     stats: dict  # index name -> IndexFg
 
 
-def _point_excluded(point, windows) -> bool:
+def point_in_windows(point, windows) -> bool:
+    """Whether any coupling of a grid point lies in one of the windows."""
     return any(lo <= lam <= hi for lam in point for lo, hi in windows)
 
 
@@ -143,8 +144,8 @@ def summarize_fg(baseline, perturbed, exclude=None) -> PerturbSummary:
     if exclude is None:
         exclude = ULAM_SYNC_WINDOWS if baseline.simulation == "ulam" else ()
 
-    kept = [pt for pt in base_points if not _point_excluded(pt, exclude)]
-    excluded = [pt for pt in base_points if _point_excluded(pt, exclude)]
+    kept = [pt for pt in base_points if not point_in_windows(pt, exclude)]
+    excluded = [pt for pt in base_points if point_in_windows(pt, exclude)]
     if not kept:
         raise ValidationError("all grid points excluded")
 

@@ -101,13 +101,9 @@ def ols_fit(design: np.ndarray, target: np.ndarray) -> OlsResult:
                      rank < design.shape[1])
 
 
-def kmeans(points, P: int, seed=0, max_iter: int = 100,
-           history: list | None = None) -> np.ndarray:
+def kmeans(points, P: int, seed=0, max_iter: int = 100) -> np.ndarray:
     """Seeded k-means: D^2-weighted init, Lloyd iterations until assignments
-    are stable; empty clusters are re-seeded at the farthest point.
-
-    `history`, when given, collects the inertia after every iteration.
-    """
+    are stable; empty clusters are re-seeded at the farthest point."""
     if isinstance(points, PointSet):
         pts = points.points
     else:
@@ -135,8 +131,6 @@ def kmeans(points, P: int, seed=0, max_iter: int = 100,
     for _ in range(max_iter):
         d2_all = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2_all.argmin(axis=1)
-        if history is not None:
-            history.append(float(d2_all.min(axis=1).sum()))
         for j in range(P):
             member = new_assign == j
             if member.any():

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from bicausal.cli import main
 from bicausal.harness import pair_from_csv, sweep_from_csv
@@ -103,6 +104,25 @@ def test_bad_flags_exit_1(tmp_path):
     assert run_cli("sweep", "--preset", "nope", "-o", str(tmp_path)) == 1
     assert run_cli("oracle", "--lambda", "1:0:0.1", "-o", str(tmp_path)) == 1
     assert run_cli("indices", "--input", str(tmp_path / "missing.csv")) in (1, 2)
+
+
+SWEEP_HEADER = "simulation,lambda_xy,lambda_yx,run,index,direction,value,elapsed_seconds,status\n"
+
+
+@pytest.mark.parametrize("command,body,where", [
+    ("indices", "t,x,y\n0,1.0,2.0\n1,1.5,abc\n", "line 3"),
+    ("indices", "t,x,y\n0,1.0,2.0\n1,1.5\n", "line 3"),
+    ("indices", "", "empty"),
+    ("report", "", "empty"),
+    ("report", SWEEP_HEADER + "ulam,0.0,0.1,0,te_hist,xy\n", "line 2"),
+], ids=["indices-non-numeric", "indices-short-row", "indices-empty",
+        "report-empty", "report-short-row"])
+def test_malformed_csv_exits_1(tmp_path, capsys, command, body, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    assert run_cli(command, "--input", str(path), "-o", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and where in err
 
 
 def test_config_file_merge(tmp_path):

@@ -10,7 +10,6 @@ from bicausal import (
     run_sweep,
     sim_lp,
     summarize_fg,
-    time_index,
     timing_table,
 )
 from bicausal.core import STATUS_SKIPPED_SYNCHRONY
@@ -170,18 +169,6 @@ def test_corr_matrix_constant_column_is_nan():
     assert np.isnan(mat[i][1 - i])
 
 
-def test_time_index_and_sanity():
-    pair = sim_lp(LpParams(lam=0.5, T=2000, seed=0))
-    from bicausal import EmbeddingSpec, embed, te_hist
-    dm = embed(pair, EmbeddingSpec(m=1))
-    _, e1 = time_index(te_hist, dm)
-    _, e2 = time_index(te_hist, dm)
-    assert e1 >= 0 and e2 >= 0
-    floor = 5e-4  # ignore scheduler jitter on sub-millisecond work
-    assert max(e1, floor) / max(e2, floor) < 10
-    assert max(e2, floor) / max(e1, floor) < 10
-
-
 def test_timing_table_sums_directions(small_ulam_sweep):
     table = timing_table(small_ulam_sweep)
     assert set(table) == {"te_hist", "ete_hist"}
@@ -262,3 +249,5 @@ def test_config_validation():
         SweepConfig(simulation="lp", runs=0)
     with pytest.raises(ValidationError):
         SweepConfig(simulation="lp", indices=("bogus",))
+    with pytest.raises(ValidationError):
+        SweepConfig(simulation="lp", indices=("te_hist", "te_hist"))

@@ -1,0 +1,143 @@
+"""The index table of `harness.compute_indices` against direct estimator calls,
+and the one-graph, two-radius `crossmap.si_pair` against single-radius calls."""
+
+import math
+from collections import Counter
+
+import pytest
+
+from bicausal import crossmap, harness, info, regress
+from bicausal.core import STATUS_DEGENERATE, STATUS_OK, EmbeddingSpec, embed
+from bicausal.errors import BicausalError, InsufficientPointsError, ValidationError
+from bicausal.perturb import PerturbationSpec, apply_perturbation
+
+ESTIMATORS = ((regress, "egc"), (regress, "nlgc"), (regress, "pi"),
+              (info, "te_hist"), (info, "ete_hist"), (info, "te_ksg"), (info, "ctir"),
+              (crossmap, "si_pair"), (crossmap, "ccm"))
+
+
+def direct_estimates(pair, simulation, T) -> dict:
+    """Every index by its own estimator call with the preset parameters and
+    embedding, si1 and si2 each from a single-R `si_pair` call. A failed call
+    gives None."""
+    ps = harness.index_presets(simulation, T)
+
+    def dm(m):
+        return embed(pair, EmbeddingSpec(m=m, tau=ps["tau"], h=ps["h"]))
+
+    calls = {
+        "egc": lambda: regress.egc(dm(ps["m"]), ps["egc"]),
+        "nlgc": lambda: regress.nlgc(dm(ps["m"]), ps["nlgc"]),
+        "pi": lambda: regress.pi(dm(ps["pi_m"]), ps["pi"]),
+        "te_hist": lambda: info.te_hist(dm(1), ps["te_hist"]),
+        "ete_hist": lambda: info.ete_hist(dm(1), ps["te_hist"], ps["ete_hist"]),
+        "te_ksg": lambda: info.te_ksg(dm(1), ps["te_ksg"]),
+        "ctir": lambda: info.ctir(pair, ps["ctir"]),
+        "si1": lambda: crossmap.si_pair(dm(ps["m"]), ps["si1"])[0],
+        "si2": lambda: crossmap.si_pair(dm(ps["m"]), ps["si2"])[1],
+        "ccm": lambda: crossmap.ccm(dm(ps["m"]), ps["ccm"]),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except BicausalError:
+            out[name] = None
+    return out
+
+
+def same_value(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_same(got, want):
+    assert got.index == want.index
+    assert same_value(got.value_xy, want.value_xy), (got, want)
+    assert same_value(got.value_yx, want.value_yx), (got, want)
+    assert got.status == want.status, (got, want)
+
+
+def assert_degenerate(est):
+    assert est.status == STATUS_DEGENERATE
+    assert math.isnan(est.value_xy) and math.isnan(est.value_yx)
+
+
+@pytest.mark.parametrize("simulation,T,point,rounded", [
+    ("lp", 2000, (0.0, 0.3), False),
+    ("ulam", 1000, (0.4, 0.0), False),
+    ("henon_uni", 1000, (0.3, 0.0), False),
+    ("henon_bi_i", 2000, (0.1, 0.05), False),
+    ("ulam", 1000, (0.4, 0.0), True),
+])
+def test_table_matches_direct_calls(simulation, T, point, rounded):
+    pair = harness.simulate_pair(simulation, point, T, seed=0)
+    if rounded:
+        pair = apply_perturbation(pair, PerturbationSpec(kind="round", decimals=1))
+    got = harness.compute_indices(pair, simulation, T)
+    assert [est.index for est in got] == list(harness.INDEX_NAMES)
+    want = direct_estimates(pair, simulation, T)
+    for est in got:
+        if want[est.index] is None:
+            assert_degenerate(est)
+        else:
+            assert_same(est, want[est.index])
+    reordered = harness.compute_indices(pair, simulation, T, ("si2", "te_hist", "si1"))
+    assert [est.index for est in reordered] == ["si2", "te_hist", "si1"]
+
+
+@pytest.mark.parametrize("simulation,T,point", [
+    ("lp", 2000, (0.0, 0.3)),           # R 10 and 30
+    ("henon_bi_i", 2000, (0.1, 0.05)),   # R 20 and 100
+])
+def test_si_two_radii_match_single_radius_calls(simulation, T, point):
+    ps = harness.index_presets(simulation, T)
+    assert ps["si1"].R < ps["si2"].R
+    for seed in (0, 1):
+        pair = harness.simulate_pair(simulation, point, T, seed)
+        dm = embed(pair, EmbeddingSpec(m=ps["m"]))
+        si1, si2 = crossmap.si_pair(dm, ps["si1"], ps["si2"])
+        want1 = crossmap.si_pair(dm, ps["si1"])[0]
+        want2 = crossmap.si_pair(dm, ps["si2"])[1]
+        assert_same(si1, want1)
+        assert_same(si2, want2)
+        assert si1.params == want1.params and si2.params == want2.params
+
+
+def test_si_only_larger_radius_too_large():
+    # lp at T=30 embeds to 28 rows: si1 (R=10) fits, si2 (R=30) does not
+    pair = harness.simulate_pair("lp", (0.0, 0.3), 30, seed=0)
+    ps = harness.index_presets("lp", 30)
+    dm = embed(pair, EmbeddingSpec(m=ps["m"]))
+    with pytest.raises(InsufficientPointsError):
+        crossmap.si_pair(dm, ps["si2"])
+    si1, si2 = crossmap.si_pair(dm, ps["si1"], ps["si2"])
+    assert si1.status == STATUS_OK
+    assert_same(si1, crossmap.si_pair(dm, ps["si1"])[0])
+    assert_degenerate(si2)
+    got = harness.compute_indices(pair, "lp", 30, ("si1", "si2"))
+    assert [(est.index, est.status) for est in got] == [("si1", STATUS_OK),
+                                                        ("si2", STATUS_DEGENERATE)]
+    with pytest.raises(InsufficientPointsError):
+        crossmap.si_pair(dm, crossmap.SiParams(R=27), ps["si2"])
+
+
+def test_si_radii_must_share_metric():
+    pair = harness.simulate_pair("lp", (0.0, 0.3), 200, seed=0)
+    dm = embed(pair, EmbeddingSpec(m=2))
+    with pytest.raises(ValidationError):
+        crossmap.si_pair(dm, crossmap.SiParams(R=5), crossmap.SiParams(R=10, metric="l1"))
+
+
+def test_each_estimator_called_once_per_unit_through_its_module(monkeypatch):
+    calls = Counter()
+    for module, name in ESTIMATORS:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    runs = 2
+    harness.run_sweep(harness.SweepConfig(simulation="lp", couplings=(0.2,), T=2000,
+                                          runs=runs, base_seed=0))
+    # te_hist is also called by ete_hist, for its unshuffled value
+    want = {name: runs for _, name in ESTIMATORS} | {"te_hist": 2 * runs}
+    assert dict(calls) == want

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bicausal.errors import InsufficientPointsError, ValidationError
-from bicausal.neighbors import (
-    PointSet,
-    count_within,
-    knn,
-    knn_all,
-    knn_points,
-    range_query,
-    seeded_jitter,
-)
+from bicausal.info import _strict_counts
+from bicausal.neighbors import PointSet, knn, knn_all, knn_points, seeded_jitter
 
 METRICS = ("l1", "l2", "linf")
 
@@ -98,41 +91,40 @@ def test_knn_points_external_queries_with_exclusion():
         assert idx[row].tolist() == [i for i, _ in want]
 
 
+def strict_count(points, qi, radius):
+    """The KSG counter's number of other points strictly within `radius`
+    (max-norm) of point qi."""
+    radii = np.zeros(len(points))
+    radii[qi] = radius
+    return int(_strict_counts(np.asarray(points, dtype=float), radii)[qi])
+
+
 def test_count_within_examples():
-    ps = PointSet(np.array([0.0, 0.5, 2.0]))
-    assert count_within(ps, 0, 1.0, strict=True) == 1
-    assert count_within(ps, 0, 0.0, strict=True) == 0
-    assert count_within(ps, 0, 0.5, strict=False) == 1
-    assert count_within(ps, 0, 0.5, strict=True) == 0
-    assert count_within(ps, 0, 2.0, strict=False) - count_within(ps, 0, 2.0, strict=True) == 1
+    pts = np.array([[0.0], [0.5], [2.0]])
+    assert strict_count(pts, 0, 1.0) == 1
+    assert strict_count(pts, 0, 0.0) == 0
+    # a point exactly at the radius is out; one ulp further it is in
+    assert strict_count(pts, 0, 0.5) == 0
+    assert strict_count(pts, 0, np.nextafter(0.5, np.inf)) == 1
+    assert strict_count(pts, 0, np.nextafter(2.0, np.inf)) - strict_count(pts, 0, 2.0) == 1
 
 
 def test_count_within_at_kth_distance():
     rng = np.random.default_rng(3)
-    ps = PointSet(rng.normal(size=(200, 2)))
+    pts = rng.normal(size=(200, 2))
+    ps = PointSet(pts)
     k = 6
     for qi in (0, 57, 133):
-        d_k = knn(ps, qi, k)[-1][1]
-        assert count_within(ps, qi, d_k, strict=True) == k - 1
+        d_k = knn(ps, qi, k, "linf")[-1][1]
+        assert strict_count(pts, qi, d_k) == k - 1
     # ties at the k-th distance push the strict count below k-1
-    tied = PointSet(np.array([0.0, 1.0, 1.0, 1.0, 5.0]))
-    d_k = knn(tied, 0, 3)[-1][1]
+    tied = np.array([[0.0], [1.0], [1.0], [1.0], [5.0]])
+    d_k = knn(PointSet(tied), 0, 3, "linf")[-1][1]
     assert d_k == 1.0
-    assert count_within(tied, 0, d_k, strict=True) < 2
-
-
-def test_range_query():
-    ps = PointSet(np.array([0.0, 0.5, 2.0, 0.9]))
-    assert range_query(ps, 0, 1.0) == [1, 3]
-    assert range_query(ps, 0, 0.0) == []
-    got = range_query(ps, 0, 5.0)
-    assert got == [1, 2, 3]
+    assert strict_count(tied, 0, d_k) == 0
 
 
 def test_radius_validation():
-    ps = PointSet(np.array([0.0, 1.0]))
-    with pytest.raises(ValidationError):
-        count_within(ps, 0, -1.0)
     with pytest.raises(ValidationError):
         PointSet(np.array([np.nan, 1.0]))
 
