@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -47,7 +48,7 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise ValidationError(f"bad grid {text!r}; expected start:stop:step")
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValidationError(f"bad grid {text!r}")
     n = int(round((stop - start) / step))
     return [round(start + i * step, 12) for i in range(n + 1)]
@@ -59,11 +60,30 @@ def _parse_kv(pairs: list[str]) -> dict:
         if "=" not in item:
             raise ValidationError(f"expected key=value, got {item!r}")
         key, value = item.split("=", 1)
-        out[key] = float(value)
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise ValidationError(f"expected a number for {key!r}, got {value!r}")
     return out
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict):
+def _config_value(action: argparse.Action, key: str, value):
+    """A --config value, held to the type and choices of its flag."""
+    if value is None and action.default is None:
+        return value
+    kind = action.type or str
+    items = value if action.nargs == "*" else [value]
+    if not isinstance(items, list) or not all(
+            isinstance(v, (int, float) if kind is float else kind) and not isinstance(v, bool)
+            for v in items):
+        expected = f"a list of {kind.__name__}" if action.nargs == "*" else kind.__name__
+        raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(f"config key {key!r} must be one of {sorted(action.choices)}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace, actions: dict):
     """Apply --config JSON over the parsed flags; file wins on conflict."""
     if not getattr(args, "config", None):
         return args
@@ -76,10 +96,11 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict):
         raise ValidationError("config file must contain a JSON object")
     for key, value in payload.items():
         attr = key.replace("-", "_")
-        if attr not in vars(args):
+        if attr not in vars(args) or attr not in actions:
             raise ValidationError(f"unknown config key {key!r}")
+        value = _config_value(actions[attr], key, value)
         current = getattr(args, attr)
-        if current != parser_defaults.get(attr) and current != value:
+        if current != actions[attr].default and current != value:
             print(f"warning: config file overrides --{key}={current!r} with {value!r}",
                   file=sys.stderr)
         setattr(args, attr, value)
@@ -87,10 +108,10 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict):
 
 
 def _workers_default() -> int:
-    try:
-        return max(1, int(os.environ.get("BICAUSAL_WORKERS", "1")))
-    except ValueError:
-        return 1
+    text = os.environ.get("BICAUSAL_WORKERS", "1")
+    if not text.isdigit() or int(text) < 1:
+        raise ValidationError(f"BICAUSAL_WORKERS must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_common(sub):
@@ -189,7 +210,7 @@ def _outdir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     simulation, T = PRESET_IDS[args.preset]
-    if args.T:
+    if args.T is not None:
         T = args.T
     coupling = args.coupling
     if simulation.startswith("henon_bi"):
@@ -224,7 +245,7 @@ def _cmd_indices(args) -> int:
 
 def _sweep_config(args, perturbation=None) -> harness.SweepConfig:
     simulation, T = PRESET_IDS[args.preset]
-    if getattr(args, "T", None):
+    if args.T is not None:
         T = args.T
     return harness.SweepConfig(
         simulation=simulation,
@@ -274,21 +295,21 @@ def _cmd_oracle(args) -> int:
     unknown = set(kv) - allowed
     if unknown:
         raise ValidationError(f"unknown linear-process keys: {sorted(unknown)}")
-    grid = _parse_grid(args.lam_grid)
+    header = "lambda,te_yx,te_xy"
+    if args.tau_max is not None:
+        header += ",ctir_yx,ctir_xy"
+    rows = []
+    for lam in _parse_grid(args.lam_grid):
+        p = LpParams(lam=lam, T=1, **kv)
+        row = [repr(lam), repr(oracle.te_lp_analytic(p, "yx")),
+               repr(oracle.te_lp_analytic(p, "xy"))]
+        if args.tau_max is not None:
+            row += [repr(oracle.ctir_lp_analytic(p, args.tau_max, "yx")),
+                    repr(oracle.ctir_lp_analytic(p, args.tau_max, "xy"))]
+        rows.append(",".join(row))
     out = os.path.join(_outdir(args), "oracle.csv")
     with open(out, "w") as fh:
-        header = "lambda,te_yx,te_xy"
-        if args.tau_max:
-            header += ",ctir_yx,ctir_xy"
-        fh.write(header + "\n")
-        for lam in grid:
-            p = LpParams(lam=lam, T=1, **kv)
-            row = [repr(lam), repr(oracle.te_lp_analytic(p, "yx")),
-                   repr(oracle.te_lp_analytic(p, "xy"))]
-            if args.tau_max:
-                row += [repr(oracle.ctir_lp_analytic(p, args.tau_max, "yx")),
-                        repr(oracle.ctir_lp_analytic(p, args.tau_max, "xy"))]
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
     print(out)
     return 0
 
@@ -317,12 +338,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
-        defaults = {a.dest: a.default
-                    for a in parser._subparsers._group_actions[0].choices[args.command]._actions}
-        args = _merge_config(args, defaults)
+        actions = {a.dest: a
+                   for a in parser._subparsers._group_actions[0].choices[args.command]._actions}
+        args = _merge_config(args, actions)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

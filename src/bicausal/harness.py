@@ -4,7 +4,8 @@ correlation matrices, timing summaries and CSV/manifest persistence.
 `INDEX_TABLE` gives, for each of the ten indices, the embedding it reads and
 the estimator call, with its preset parameters, that computes it;
 `compute_indices` runs the requested entries on one pair. si1 and si2 share
-one entry, so one `crossmap.si_pair` call yields both.
+one entry, so one `crossmap.si_pair` call yields both, and a lone request
+builds the neighbour graphs at its own R only.
 """
 
 from __future__ import annotations
@@ -39,24 +40,26 @@ from .perturb import (
 
 SIMULATIONS = ("lp", "ulam", "henon_uni", "henon_bi_i", "henon_bi_ni")
 
-# name -> (embedding dimension, call(data, presets)). The dimension is a
-# preset key or a fixed m, and the call gets that delay matrix; None gives
-# the call the pair itself. Each call looks its estimator up on the module
-# when it runs, never binding it at import, so that wrappers placed on the
-# module attribute (perfbench/tracing.py times each layer that way) see every
-# call. si1 and si2 share one entry, which runs once per pair.
-_SI = ("m", lambda dm, ps: crossmap.si_pair(dm, ps["si1"], ps["si2"]))
+# name -> (embedding dimension, call(data, presets, names)). The dimension is
+# a preset key or a fixed m, and the call gets that delay matrix; None gives
+# the call the pair itself. `names` are the requested indices. Each call looks
+# its estimator up on the module when it runs, never binding it at import, so
+# that wrappers placed on the module attribute (perfbench/tracing.py times
+# each layer that way) see every call. si1 and si2 share one entry, which runs
+# once per pair at the R of the requested ones only.
+_SI = ("m", lambda dm, ps, names: crossmap.si_pair(
+    dm, *(ps[n] for n in ("si1", "si2") if n in names)))
 INDEX_TABLE = {
-    "egc": ("m", lambda dm, ps: regress.egc(dm, ps["egc"])),
-    "nlgc": ("m", lambda dm, ps: regress.nlgc(dm, ps["nlgc"])),
-    "pi": ("pi_m", lambda dm, ps: regress.pi(dm, ps["pi"])),
-    "te_hist": (1, lambda dm, ps: info.te_hist(dm, ps["te_hist"])),
-    "ete_hist": (1, lambda dm, ps: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"])),
-    "te_ksg": (1, lambda dm, ps: info.te_ksg(dm, ps["te_ksg"])),
-    "ctir": (None, lambda pair, ps: info.ctir(pair, ps["ctir"])),
+    "egc": ("m", lambda dm, ps, _: regress.egc(dm, ps["egc"])),
+    "nlgc": ("m", lambda dm, ps, _: regress.nlgc(dm, ps["nlgc"])),
+    "pi": ("pi_m", lambda dm, ps, _: regress.pi(dm, ps["pi"])),
+    "te_hist": (1, lambda dm, ps, _: info.te_hist(dm, ps["te_hist"])),
+    "ete_hist": (1, lambda dm, ps, _: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"])),
+    "te_ksg": (1, lambda dm, ps, _: info.te_ksg(dm, ps["te_ksg"])),
+    "ctir": (None, lambda pair, ps, _: info.ctir(pair, ps["ctir"])),
     "si1": _SI,
     "si2": _SI,
-    "ccm": ("m", lambda dm, ps: crossmap.ccm(dm, ps["ccm"])),
+    "ccm": ("m", lambda dm, ps, _: crossmap.ccm(dm, ps["ccm"])),
 }
 INDEX_NAMES = tuple(INDEX_TABLE)
 
@@ -307,7 +310,7 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
     for m, call in dict.fromkeys(INDEX_TABLE[name] for name in indices):
         m = presets[m] if isinstance(m, str) else m
         try:
-            result = call(pair if m is None else dm_for(m), presets)
+            result = call(pair if m is None else dm_for(m), presets, indices)
         except BicausalError:
             continue
         for est in result if isinstance(result, tuple) else (result,):

@@ -1,8 +1,10 @@
 """Exact nearest-neighbour queries with deterministic tie-breaking.
 
-All queries are exact (kd-tree backed, brute force for tiny sets). Ties in
-distance are always resolved toward the smaller point index so that every
-downstream estimator is deterministic, including on rounded/discretised data.
+All queries are exact: a kd-tree pre-selects candidates, the package's own
+distance formula orders them, and rows whose cut at k is a near-tie are
+resolved by a radius query. Ties in distance are always resolved toward the
+smaller point index so that every downstream estimator is deterministic,
+including on rounded/discretised data.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from scipy.spatial import cKDTree
 from .errors import InsufficientPointsError, ValidationError
 
 _MINKOWSKI = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
-
-# below this library size a vectorised brute-force scan beats the tree
-_BRUTE_LIMIT = 64
 
 # distances this close (relative) are treated as tied and resolved exactly
 _TIE_RTOL = 1e-9
@@ -134,50 +133,26 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
     if k + max_excluded > pset.n:
         raise InsufficientPointsError(f"asked for {k} neighbours of {pset.n} points")
 
-    if pset.n <= _BRUTE_LIMIT:
-        return _brute_knn_points(pset, queries, k, p, exclude_index)
-
     kq = min(k + max_excluded + 1, pset.n)
-    _, idx = pset.tree.query(queries, k=kq, p=p)
+    # a range keeps the result 2-D even when kq is 1
+    _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
     # decisive distances come from the package formula, not the tree's
     dist = pairwise_distance(pset.points[idx] - queries[:, None, :], p)
-    order = np.argsort(dist, axis=1, kind="stable")
-    dist = np.take_along_axis(dist, order, axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
-
-    out_idx = np.empty((nq, k), dtype=int)
-    out_dist = np.empty((nq, k))
-    for i in range(nq):
-        d_row, i_row = dist[i], idx[i]
-        excl = exclude_index[i]
-        if excl >= 0:
-            keep = i_row != excl
-            if keep.all():
-                # excluded member not retrieved: only possible when a heap of
-                # coincident points pushed it out, so resolve exactly
-                out_idx[i], out_dist[i] = _exact_neighbors(pset, queries[i], k, p, excl)
-                continue
-            d_row, i_row = d_row[keep], i_row[keep]
-        if len(d_row) > k and d_row[k] - d_row[k - 1] <= _TIE_RTOL * d_row[k]:
-            # (near-)tie across the cut boundary: membership is ambiguous
-            # because the tree pre-selection may rank ulp-level ties either
-            # way, so resolve exactly
+    dist[idx == exclude_index[:, None]] = np.inf
+    order = np.lexsort((idx, dist), axis=-1)
+    dist = np.take_along_axis(dist, order, axis=-1)
+    idx = np.take_along_axis(idx, order, axis=-1)
+    out_idx, out_dist = idx[:, :k], dist[:, :k]
+    if kq < pset.n:
+        # (near-)tie across the cut: the tree pre-selection may rank
+        # ulp-level ties either way, so membership is resolved exactly. An
+        # excluded member the tree left out is no nearer than any retrieved
+        # point, so it cannot be among the k and needs no case of its own.
+        # With kq == n every point is a candidate and no row is ambiguous.
+        for i in np.nonzero(dist[:, k] - dist[:, k - 1] <= _TIE_RTOL * dist[:, k])[0]:
             out_idx[i], out_dist[i] = _exact_neighbors(
                 pset, queries[i], k, p, exclude_index[i])
-            continue
-        d_row, i_row = d_row[:k], i_row[:k]
-        order = np.lexsort((i_row, d_row))
-        out_idx[i] = i_row[order]
-        out_dist[i] = d_row[order]
     return out_idx, out_dist
-
-
-def _brute_knn_points(pset, queries, k, p, exclude_index):
-    d = pairwise_distance(queries[:, None, :] - pset.points[None, :, :], p)
-    excl_rows = np.nonzero(exclude_index >= 0)[0]
-    d[excl_rows, exclude_index[excl_rows]] = np.inf
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(d, order, axis=1)
 
 
 def knn_all(pset: PointSet, k: int, metric: str = "l2",

@@ -125,6 +125,37 @@ def test_malformed_csv_exits_1(tmp_path, capsys, command, body, where):
     assert err.startswith("error:") and str(path) in err and where in err
 
 
+@pytest.mark.parametrize("argv,config,workers,where", [
+    (["oracle", "--lp", "b_x=abc"], None, None, "'b_x'"),
+    (["oracle", "--lambda", "nan:1:0.1"], None, None, "nan:1:0.1"),
+    (["oracle", "--lambda", "0:inf:0.1"], None, None, "0:inf:0.1"),
+    (["oracle", "--tau-max", "0"], None, None, "tau_max"),
+    (["sweep", "--preset", "ulam-1e3"], {"runs": "2"}, None, "'runs'"),
+    (["oracle"], {"lp": [0.8]}, None, "'lp'"),
+    (["simulate", "--preset", "ulam-1e3", "--T", "0"], None, None, "T must"),
+    (["sweep", "--preset", "ulam-1e3", "--T", "0", "--grid", "0:0:1", "--runs", "1",
+      "--indices", "te_hist"], None, None, "T must"),
+    (["oracle"], None, "abc", "BICAUSAL_WORKERS"),
+    (["oracle"], None, "0", "BICAUSAL_WORKERS"),
+], ids=["oracle-lp-non-numeric", "oracle-lambda-nan", "oracle-lambda-inf",
+        "oracle-tau-max-0", "sweep-config-runs-string", "oracle-config-lp-number",
+        "simulate-T-0", "sweep-T-0",
+        "workers-env-non-numeric", "workers-env-0"])
+def test_malformed_input_exits_1(tmp_path, capsys, monkeypatch, argv, config, workers,
+                                 where):
+    if workers is not None:
+        monkeypatch.setenv("BICAUSAL_WORKERS", workers)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "-o", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err
+    assert not out.exists()  # nothing written under a silent default
+
+
 def test_config_file_merge(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"coupling": 0.2, "T": 80}))

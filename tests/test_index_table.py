@@ -135,9 +135,26 @@ def test_each_estimator_called_once_per_unit_through_its_module(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+    ks = []
+
+    def recorded(pset, k, *args, _fn=crossmap.knn_all, **kwargs):
+        ks.append(k)
+        return _fn(pset, k, *args, **kwargs)
+
+    monkeypatch.setattr(crossmap, "knn_all", recorded)
     runs = 2
     harness.run_sweep(harness.SweepConfig(simulation="lp", couplings=(0.2,), T=2000,
                                           runs=runs, base_seed=0))
     # te_hist is also called by ete_hist, for its unshuffled value
     want = {name: runs for _, name in ESTIMATORS} | {"te_hist": 2 * runs}
     assert dict(calls) == want
+
+    # a lone si request builds its graphs, one per series, at its own R only
+    pair = harness.simulate_pair("lp", (0.0, 0.3), 2000, seed=0)
+    both = {est.index: est for est in harness.compute_indices(pair, "lp", 2000)}
+    for names, k in ((("si1",), 10), (("si2",), 30), (("si1", "si2"), 30)):
+        ks.clear()
+        for est in harness.compute_indices(pair, "lp", 2000, names):
+            assert_same(est, both[est.index])
+            assert est.params == both[est.index].params
+        assert ks == [k, k]

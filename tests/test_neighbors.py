@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bicausal.errors import InsufficientPointsError, ValidationError
 from bicausal.info import _strict_counts
@@ -89,6 +89,34 @@ def test_knn_points_external_queries_with_exclusion():
     for row, (q, ex) in enumerate(zip(queries, exclude)):
         want = brute_knn(lib, q, 4, "linf", exclude=int(ex))
         assert idx[row].tolist() == [i for i, _ in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 9999), n=st.sampled_from((1, 2, 3, 8, 64, 65, 150)),
+       k=st.integers(1, 8), dim=st.integers(1, 3), decimals=st.sampled_from((None, 1, 0)),
+       metric=st.sampled_from(METRICS), exclusion=st.sampled_from(("self", "partial", "none")))
+@example(seed=0, n=1, k=1, dim=1, decimals=None, metric="l2", exclusion="none")
+@example(seed=0, n=66, k=64, dim=2, decimals=0, metric="linf", exclusion="self")
+@example(seed=0, n=150, k=8, dim=1, decimals=0, metric="l1", exclusion="partial")
+def test_knn_points_matches_scan(seed, n, k, dim, decimals, metric, exclusion):
+    # both sides of 64 points, n <= k+2 (every point a candidate), kq == 1,
+    # and rounded data whose coincident points can crowd out the excluded one
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, dim))
+    if decimals is not None:
+        pts = np.round(pts, decimals)
+    exclude = {"self": np.arange(n),
+               "partial": np.where(rng.random(n) < 0.5, np.arange(n), -1),
+               "none": None}[exclusion]
+    k = min(k, n - int(exclude is not None and (exclude >= 0).any()))
+    assume(k >= 1)
+    idx, dist = knn_points(PointSet(pts), pts, k, metric, exclude)
+    assert idx.shape == dist.shape == (n, k)
+    for row in range(n):
+        ex = -1 if exclude is None else int(exclude[row])
+        want = brute_knn(pts, pts[row], k, metric, exclude=ex)
+        assert idx[row].tolist() == [i for i, _ in want]
+        np.testing.assert_allclose(dist[row], [d for _, d in want], rtol=1e-12, atol=1e-12)
 
 
 def strict_count(points, qi, radius):
