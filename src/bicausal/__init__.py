@@ -6,6 +6,9 @@ cross-mapping families) over four seeded benchmark systems, with exact
 Gaussian linear-process solutions for validation.
 """
 
+# set before the submodule imports: `harness` records it in sweep manifests
+__version__ = "0.1.0"
+
 from .core import (
     DelayMatrix,
     EmbeddingSpec,
@@ -68,4 +71,3 @@ from .simulate import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

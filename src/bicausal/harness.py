@@ -14,14 +14,16 @@ import contextlib
 import csv
 import json
 import math
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy
 from scipy.stats import spearmanr
 
-from . import crossmap, info, regress, simulate
+from . import __version__, crossmap, info, regress, simulate
 from .core import (
     STATUS_DEGENERATE,
     STATUS_SKIPPED_SYNCHRONY,
@@ -560,6 +562,12 @@ def write_manifest(path, cfg: SweepConfig, extra: dict | None = None):
         "prng": simulate.GENERATOR_NAME,
         "presets_version": PRESETS_VERSION,
         "created_unix": time.time(),
+        "versions": {
+            "bicausal": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     }
     if extra:
         payload.update(extra)

@@ -4,6 +4,15 @@ Transfer entropy via plug-in histogram entropies or via the k-nearest-
 neighbour conditional mutual information estimate (max-norm, digamma
 counts with strict radii), the shuffle-corrected effective variant, and
 the lag-averaged transinformation rate. Everything is reported in nats.
+
+The k-NN estimators count, per point, the other points strictly within its
+k-th neighbour distance in each marginal space (`_strict_counts`). For one-
+and two-column marginals the counts come from rank windows over the sorted
+columns: each window edge starts at a `searchsorted` guess and is stepped to
+where the kd-tree's own test fl(|x_j - x_i|) < r changes, which is monotone
+in x_j, so the counts equal the tree's exactly. Two columns add an integer
+rectangle count over the two rank orders. Marginals of three or more columns
+use the kd-tree ball count (`_tree_counts`).
 """
 
 from __future__ import annotations
@@ -209,8 +218,98 @@ def _has_ties(data: np.ndarray) -> bool:
     return False
 
 
+def _prefix_end(s: np.ndarray, edge: np.ndarray, inside) -> np.ndarray:
+    """Step each guess `edge[q]` to the exact end of the true prefix of
+    `inside(q, j)`, a mask that is monotone (true, then false) over the sorted
+    positions j of `s`. Each step jumps a whole run of tied values."""
+    n = len(s)
+    q = np.flatnonzero(edge < n)
+    while q.size:
+        q = q[inside(q, edge[q])]
+        edge[q] = np.searchsorted(s, s[edge[q]], side="right")
+        q = q[edge[q] < n]
+    q = np.flatnonzero(edge > 0)
+    while q.size:
+        q = q[~inside(q, edge[q] - 1)]
+        edge[q] = np.searchsorted(s, s[edge[q] - 1], side="left")
+        q = q[edge[q] > 0]
+    return edge
+
+
+def _rank_windows(col: np.ndarray, radii: np.ndarray):
+    """Sort order of `col` and, for the point at each sorted position q, the
+    window [lo, hi) of sorted positions j with fl(|s_j - s_q|) < r, where s is
+    `col` sorted and r that point's radius."""
+    order = np.argsort(col)
+    s, r = col[order], radii[order]
+    # fl(s_q - s_j) and fl(s_j - s_q) are monotone in s_j, so each window edge
+    # is the end of a monotone prefix, a few distinct values from s_q -/+ r
+    lo = _prefix_end(s, np.searchsorted(s, s - r, side="right"),
+                     lambda q, j: s[q] - s[j] >= r[q])
+    hi = _prefix_end(s, np.searchsorted(s, s + r, side="left"),
+                     lambda q, j: s[j] - s[q] < r[q])
+    return order, lo, hi
+
+
+def _range_counts(seq: np.ndarray, start, stop, low, high) -> np.ndarray:
+    """Per query, #{p in [start, stop) : low <= seq[p] < high}, for `seq` a
+    permutation of range(n). A wavelet matrix: one stable bit partition of
+    `seq` per level, most significant bit first, O((n + queries) log n)."""
+    n, m = len(seq), len(start)
+    s, e = np.concatenate([start, start]), np.concatenate([stop, stop])
+    x = np.concatenate([high, low])
+    less = np.zeros(2 * m, dtype=np.int64)  # per query, #{p in [s, e): seq[p] < x}
+    zeros = np.zeros(n + 1, dtype=np.int64)
+    pos = np.arange(n)
+    for level in range(n.bit_length() - 1, -1, -1):
+        one = (seq >> level) & 1
+        np.cumsum(1 - one, out=zeros[1:])
+        nz = zeros[-1]
+        # where x has a 1 bit, the range's 0-bit values are all below x;
+        # the range then moves into the 0 or 1 part of the next level
+        x_one = (x >> level) & 1
+        zs, ze = zeros[s], zeros[e]
+        less += x_one * (ze - zs)
+        s = zs + x_one * (nz + s - 2 * zs)
+        e = ze + x_one * (nz + e - 2 * ze)
+        z = zeros[:-1]
+        nxt = np.empty_like(seq)
+        nxt[z + one * (nz + pos - 2 * z)] = seq
+        seq = nxt
+    return less[:m] - less[m:]
+
+
 def _strict_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Per-point count of *other* points strictly within each radius (max-norm)."""
+    """Per-point count of *other* points strictly within each radius
+    (max-norm distance fl(|x_j - x_i|) < r_i); 0 where the radius is 0.
+
+    One column: a rank window [lo, hi) over the sorted values, counting
+    hi - lo - 1. Two columns: the same windows on each column; a point is
+    counted when its rank in each column lies in that column's window, which
+    `_range_counts` counts over the column-0 ranks taken in column-1 order.
+    The windows are exact, not v -/+ r: the edges are stepped to where the
+    kd-tree's own test fl(|x_j - x_i|) < r changes, and that test is monotone
+    in x_j on each side of x_i, so the counts equal `_tree_counts`'s.
+    Three or more columns use `_tree_counts`.
+    """
+    if points.shape[1] > 2:
+        return _tree_counts(points, radii)
+    n = len(points)
+    counts = np.empty(n, dtype=np.int64)
+    order0, lo0, hi0 = _rank_windows(points[:, 0], radii)
+    if points.shape[1] == 1:
+        counts[order0] = hi0 - lo0 - 1
+    else:
+        order1, lo1, hi1 = _rank_windows(points[:, 1], radii)
+        rank0 = np.empty(n, dtype=np.int64)
+        rank0[order0] = np.arange(n)
+        own = rank0[order1]  # column-0 rank of the point at each column-1 position
+        counts[order1] = _range_counts(own, lo1, hi1, lo0[own], hi0[own]) - 1
+    return np.where(radii > 0.0, counts, 0)
+
+
+def _tree_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """`_strict_counts` by kd-tree ball counts at the radius shrunk by one ulp."""
     tree = cKDTree(points)
     counts = np.zeros(len(points), dtype=np.int64)
     pos = radii > 0.0
@@ -228,6 +327,10 @@ def _cmi_ksg_impl(a, b, c, p: KsgParams) -> tuple[float, bool]:
     n = A.shape[0]
     if B.shape[0] != n or (C.size and C.shape[0] != n):
         raise ValidationError("sample blocks must be aligned")
+    # checked before jitter, trees and sorts: argsort and < order NaN silently
+    for name, blk in (("a", A), ("b", B), ("c", C)):
+        if not np.isfinite(blk).all():
+            raise ValidationError(f"block {name} holds a NaN or infinite value")
     if p.k >= n:
         raise InsufficientPointsError("k must be smaller than the sample count")
     if not (A.std(axis=0).any() and B.std(axis=0).any()):
@@ -266,7 +369,8 @@ def cmi_ksg(a, b, c=None, p: KsgParams = KsgParams()) -> float:
     jitter is applied automatically when any coordinate contains duplicate
     values. Saturated inputs (e.g. a == b exactly) stay finite, plateauing
     near digamma(n) - digamma(k); a constant a or b block is degenerate and
-    yields NaN.
+    yields NaN. A NaN or infinite value in any block raises ValidationError
+    naming the block.
     """
     return _cmi_ksg_impl(a, b, c, p)[0]
 

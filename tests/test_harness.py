@@ -225,6 +225,8 @@ def test_manifest_contents(tmp_path):
     assert payload["prng"] == "PCG64"
     assert payload["base_seed"] == 7
     assert payload["presets_version"] == harness.PRESETS_VERSION
+    assert set(payload["versions"]) == {"bicausal", "python", "numpy", "scipy"}
+    assert payload["versions"]["numpy"] == np.__version__
     assert (tmp_path / "m.json").exists()
 
 

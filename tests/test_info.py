@@ -10,7 +10,9 @@ from bicausal import (
     EteParams,
     KsgParams,
     LpParams,
+    PerturbationSpec,
     SeriesPair,
+    apply_perturbation,
     cmi_ksg,
     ctir,
     embed,
@@ -28,6 +30,7 @@ from bicausal.errors import (
     InsufficientPointsError,
     ValidationError,
 )
+from bicausal import info
 from bicausal.info import _cmi_ksg_impl
 
 
@@ -191,6 +194,16 @@ def test_cmi_validation():
         cmi_ksg(rng.normal(size=10), rng.normal(size=9))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["a", "b", "c"])
+def test_cmi_non_finite_is_validation_error(block, bad):
+    rng = np.random.default_rng(9)
+    blocks = {name: rng.normal(size=100) for name in "abc"}
+    blocks[block][17] = bad
+    with pytest.raises(ValidationError, match=f"block {block} "):
+        cmi_ksg(blocks["a"], blocks["b"], blocks["c"])
+
+
 def test_cmi_jitter_handles_ties():
     rng = np.random.default_rng(8)
     a = np.round(rng.normal(size=800), 1)
@@ -256,3 +269,36 @@ def test_ctir_requires_length():
     pair = SeriesPair(np.arange(6.0), np.arange(6.0))
     with pytest.raises(InsufficientDataError):
         ctir(pair, CtirParams(tau_max=5))
+
+
+# ---------------------------------------------------------------------------
+# rank-window counts against the kd-tree counts they replace
+
+
+def _with_tree_counts(monkeypatch, estimate):
+    fast = estimate()
+    with monkeypatch.context() as mp:
+        mp.setattr(info, "_strict_counts", info._tree_counts)
+        tree = estimate()
+    return fast, tree
+
+
+@pytest.mark.parametrize("variant", [
+    PerturbationSpec(kind="identity"),
+    PerturbationSpec(kind="round", decimals=1),
+    PerturbationSpec(kind="missing", fraction=0.1, seed=3),
+], ids=["raw", "round1", "missing"])
+def test_ctir_counts_match_tree(monkeypatch, variant):
+    pair = apply_perturbation(sim_lp(LpParams(lam=0.3, T=2000, seed=16)), variant)
+    fast, tree = _with_tree_counts(monkeypatch, lambda: ctir(pair, CtirParams(tau_max=20)))
+    assert (fast.value_xy, fast.value_yx, fast.status) == (tree.value_xy, tree.value_yx,
+                                                           tree.status)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_te_ksg_counts_match_tree(monkeypatch, m):
+    # m=2 gives 3-column marginals, which take the tree path on both sides
+    dm = embed(sim_lp(LpParams(lam=0.3, T=2000, seed=17)), EmbeddingSpec(m=m))
+    fast, tree = _with_tree_counts(monkeypatch, lambda: te_ksg(dm))
+    assert (fast.value_xy, fast.value_yx, fast.status) == (tree.value_xy, tree.value_yx,
+                                                           tree.status)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from bicausal.errors import InsufficientPointsError, ValidationError
-from bicausal.info import _strict_counts
+from bicausal.info import _strict_counts, _tree_counts
 from bicausal.neighbors import PointSet, knn, knn_all, knn_points, seeded_jitter
 
 METRICS = ("l1", "l2", "linf")
@@ -150,6 +151,32 @@ def test_count_within_at_kth_distance():
     d_k = knn(PointSet(tied), 0, 3, "linf")[-1][1]
     assert d_k == 1.0
     assert strict_count(tied, 0, d_k) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 9999), n=st.integers(2, 300), dim=st.sampled_from((1, 2)),
+       decimals=st.sampled_from((None, 1, 0)), scale=st.sampled_from((1e-3, 1.0, 1e3)),
+       radius=st.sampled_from(("pair", "pair_up", "pair_down", "zeros", "knn4")))
+@example(seed=0, n=2, dim=1, decimals=0, scale=1.0, radius="pair")
+@example(seed=1, n=300, dim=2, decimals=0, scale=1.0, radius="knn4")
+def test_strict_counts_match_tree(seed, n, dim, decimals, scale, radius):
+    # radii on the tree's own boundary: actual pairwise max-norm distances,
+    # their neighbouring floats, zeros, and KSG's k-th neighbour distances
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, dim))
+    if decimals is not None:
+        pts = np.round(pts, decimals)
+    pts = pts * scale
+    dist = np.abs(pts - pts[rng.integers(0, n, size=n)]).max(axis=1)
+    if radius == "pair_up":
+        dist = np.nextafter(dist, np.inf)
+    elif radius == "pair_down":
+        dist = np.nextafter(dist, -np.inf)
+    elif radius == "zeros":
+        dist[rng.random(n) < 0.5] = 0.0
+    elif radius == "knn4":
+        dist = cKDTree(pts).query(pts, k=[min(4, n - 1) + 1], p=np.inf)[0][:, 0]
+    assert np.array_equal(_strict_counts(pts, dist), _tree_counts(pts, dist))
 
 
 def test_radius_validation():
