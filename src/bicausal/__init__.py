@@ -67,6 +67,7 @@ from .simulate import (
     sim_henon_uni,
     sim_lp,
     sim_ulam,
+    sim_ulam_batch,
     ulam_map,
 )
 

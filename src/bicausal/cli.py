@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -259,12 +260,24 @@ def _sweep_config(args, perturbation=None) -> harness.SweepConfig:
     )
 
 
+def _timed_sweeps(**cfgs) -> tuple[dict, dict]:
+    """Run each named sweep; the results by name and the manifest totals:
+    measured wall seconds and record counts per status, by name."""
+    results, seconds, counts = {}, {}, {}
+    for name, cfg in cfgs.items():
+        t0 = time.perf_counter()
+        results[name] = harness.run_sweep(cfg)
+        seconds[name] = time.perf_counter() - t0
+        counts[name] = harness.status_counts(results[name])
+    return results, {"wall_seconds": seconds, "status_counts": counts}
+
+
 def _cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    res = harness.run_sweep(cfg)
+    results, totals = _timed_sweeps(sweep=cfg)
     outdir = _outdir(args)
-    harness.sweep_to_csv(res, os.path.join(outdir, "sweep.csv"))
-    harness.write_manifest(os.path.join(outdir, "manifest.json"), cfg)
+    harness.sweep_to_csv(results["sweep"], os.path.join(outdir, "sweep.csv"))
+    harness.write_manifest(os.path.join(outdir, "manifest.json"), cfg, totals)
     print(os.path.join(outdir, "sweep.csv"))
     return 0
 
@@ -277,14 +290,14 @@ def _cmd_perturb(args) -> int:
                             seed=args.seed)
     base_cfg = _sweep_config(args)
     pert_cfg = replace(base_cfg, perturbation=spec)
-    baseline = harness.run_sweep(base_cfg)
-    perturbed = harness.run_sweep(pert_cfg)
+    results, totals = _timed_sweeps(baseline=base_cfg, perturbed=pert_cfg)
+    baseline, perturbed = results["baseline"], results["perturbed"]
     summary = summarize_fg(baseline, perturbed)
     outdir = _outdir(args)
     harness.sweep_to_csv(baseline, os.path.join(outdir, "baseline.csv"))
     harness.sweep_to_csv(perturbed, os.path.join(outdir, "perturbed.csv"))
     harness.fg_to_csv(summary, os.path.join(outdir, "fg.csv"))
-    harness.write_manifest(os.path.join(outdir, "manifest.json"), pert_cfg)
+    harness.write_manifest(os.path.join(outdir, "manifest.json"), pert_cfg, totals)
     print(os.path.join(outdir, "fg.csv"))
     return 0
 

@@ -26,13 +26,14 @@ from scipy.stats import spearmanr
 from . import __version__, crossmap, info, regress, simulate
 from .core import (
     STATUS_DEGENERATE,
+    STATUS_OK,
     STATUS_SKIPPED_SYNCHRONY,
     EmbeddingSpec,
     IndexEstimate,
     SeriesPair,
     embed,
 )
-from .errors import BicausalError, ValidationError
+from .errors import BicausalError, NumericalEscapeError, ValidationError
 from .perturb import (
     ULAM_SYNC_WINDOWS,
     PerturbationSpec,
@@ -286,9 +287,8 @@ def simulate_pair(simulation: str, point: tuple[float, float], T: int,
     raise ValidationError(f"unknown simulation {simulation!r}")
 
 
-def _degenerate_estimate(name: str) -> IndexEstimate:
-    return IndexEstimate(name, float("nan"), float("nan"), 0.0, 0.0, {},
-                         STATUS_DEGENERATE)
+def _status_estimate(name: str, status: str) -> IndexEstimate:
+    return IndexEstimate(name, float("nan"), float("nan"), 0.0, 0.0, {}, status)
 
 
 def compute_indices(pair: SeriesPair, simulation: str, T: int,
@@ -317,7 +317,7 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
             continue
         for est in result if isinstance(result, tuple) else (result,):
             got[est.index] = est
-    return [got[name] if name in got else _degenerate_estimate(name)
+    return [got[name] if name in got else _status_estimate(name, STATUS_DEGENERATE)
             for name in indices]
 
 
@@ -327,54 +327,95 @@ def _sim_length(cfg: SweepConfig) -> int:
     return spec.data_size if spec is not None and spec.kind == "data_size" else cfg.T
 
 
-def _run_unit(cfg: SweepConfig, point_index: int, run: int) -> list[Record]:
-    point = cfg.couplings[point_index]
-    seed = cfg.base_seed + run
+def _simulate_units(cfg: SweepConfig, units: list) -> list:
+    """One pair per (point index, run) unit, or None where the simulator
+    escaped. Ulam units are simulated as one batch, the others one by one."""
+    T = _sim_length(cfg)
+    if cfg.simulation == "ulam":
+        return simulate.sim_ulam_batch([
+            simulate.UlamParams(lam=cfg.couplings[i][0], T=T, seed=cfg.base_seed + run)
+            for i, run in units])
+    pairs = []
+    for i, run in units:
+        try:
+            pairs.append(simulate_pair(cfg.simulation, cfg.couplings[i], T,
+                                       cfg.base_seed + run))
+        except NumericalEscapeError:
+            pairs.append(None)
+    return pairs
 
-    if cfg.skip_synchrony and cfg.simulation == "ulam" and \
-            point_in_windows(point, ULAM_SYNC_WINDOWS):
-        return [Record(cfg.simulation, point[0], point[1], run, name, direction,
-                       float("nan"), 0.0, STATUS_SKIPPED_SYNCHRONY)
-                for name in cfg.indices for direction in ("xy", "yx")]
 
-    T_eff = _sim_length(cfg)
+def _unit_estimates(cfg: SweepConfig, point_index: int, run: int,
+                    pair: SeriesPair | None) -> list[IndexEstimate]:
+    if pair is None:
+        return [_status_estimate(name, STATUS_DEGENERATE) for name in cfg.indices]
     spec = cfg.perturbation
-    pair = simulate_pair(cfg.simulation, point, T_eff, seed)
     if spec is not None and spec.kind != "data_size":
         rng = np.random.default_rng([spec.seed, point_index, run])
         pair = apply_perturbation(pair, spec, rng)
+    return compute_indices(pair, cfg.simulation, _sim_length(cfg), cfg.indices)
 
+
+def _run_chunk(cfg: SweepConfig, units: list) -> list[Record]:
+    """Records of one worker's (point index, run) units.
+
+    Up to `simulate.ULAM_BATCH_RINGS` units are simulated at a time (ulam as
+    one batch; units skipped for synchrony never simulate), then their
+    indices are computed unit by unit. A unit whose simulation escaped is
+    recorded as degenerate.
+    """
     records = []
-    for est in compute_indices(pair, cfg.simulation, T_eff, cfg.indices):
-        for direction in ("xy", "yx"):
-            records.append(Record(
-                cfg.simulation, point[0], point[1], run, est.index, direction,
-                est.value(direction),
-                est.elapsed_xy if direction == "xy" else est.elapsed_yx,
-                est.status))
+    for start in range(0, len(units), simulate.ULAM_BATCH_RINGS):
+        group = units[start:start + simulate.ULAM_BATCH_RINGS]
+        live = [(i, run) for i, run in group
+                if not (cfg.skip_synchrony and cfg.simulation == "ulam"
+                        and point_in_windows(cfg.couplings[i], ULAM_SYNC_WINDOWS))]
+        pairs = dict(zip(live, _simulate_units(cfg, live)))
+        for i, run in group:
+            if (i, run) in pairs:
+                estimates = _unit_estimates(cfg, i, run, pairs.pop((i, run)))
+            else:
+                estimates = [_status_estimate(name, STATUS_SKIPPED_SYNCHRONY)
+                             for name in cfg.indices]
+            point = cfg.couplings[i]
+            records.extend(
+                Record(cfg.simulation, point[0], point[1], run, est.index, direction,
+                       est.value(direction),
+                       est.elapsed_xy if direction == "xy" else est.elapsed_yx,
+                       est.status)
+                for est in estimates for direction in ("xy", "yx"))
     return records
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Execute the full (grid x runs) sweep; degenerate estimates are recorded
-    with their status and never abort the sweep."""
+    """Execute the full (grid x runs) sweep; degenerate estimates and escaped
+    simulations are recorded with their status and never abort the sweep.
+
+    Worker k gets the units k, k + workers, ... as one chunk, so that its
+    Ulam rings are simulated together; workers=1 runs the one chunk here.
+    """
     units = [(i, run) for i in range(len(cfg.couplings)) for run in range(cfg.runs)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_run_unit_star, [(cfg, i, r) for i, r in units]))
+    chunks = [c for c in (units[k::cfg.workers] for k in range(cfg.workers)) if c]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            done = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
     else:
-        chunks = [_run_unit(cfg, i, r) for i, r in units]
-    records = [rec for chunk in chunks for rec in chunk]
+        done = [_run_chunk(cfg, chunk) for chunk in chunks]
+    records = [rec for chunk in done for rec in chunk]
     records.sort(key=lambda r: (r.lambda_xy, r.lambda_yx, r.run, r.index, r.direction))
     return SweepResult(cfg.simulation, _sim_length(cfg), cfg.runs, records)
 
 
-def _run_unit_star(args):
-    return _run_unit(*args)
-
-
 # ---------------------------------------------------------------------------
 # reporting
+
+
+def status_counts(res: SweepResult) -> dict:
+    """Number of records per status, zeros included."""
+    counts = dict.fromkeys((STATUS_OK, STATUS_DEGENERATE, STATUS_SKIPPED_SYNCHRONY), 0)
+    for rec in res.records:
+        counts[rec.status] += 1
+    return counts
 
 
 def timing_table(res: SweepResult) -> dict:

@@ -5,6 +5,12 @@ from numpy's PCG64 (`GENERATOR_NAME`), so a fixed seed reproduces the series
 bit-for-bit on this implementation. Transients are discarded before any
 sample is recorded: 10^4 iterations for the linear process, 10^5 for the
 chaotic maps.
+
+Ulam rings have one code path: `sim_ulam_batch` advances many rings as one
+array (a sweep worker passes all its rings), and `sim_ulam` is a batch of
+one. The state is checked against ESCAPE_THRESHOLD after every step
+divisible by 4096 and after the last; the batch marks each escaped ring on
+its own, and `sim_ulam` raises NumericalEscapeError for it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ TRANSIENTS_MAP = 100_000
 
 ESCAPE_THRESHOLD = 1e6
 MAX_RESTARTS = 100
+# rings advanced together by sim_ulam_batch (and simulated at a time by a
+# sweep worker): 32 rings x 10^5 steps x 16 bytes is a 51 MB record
+ULAM_BATCH_RINGS = 32
 
 
 def _check_positive_length(T):
@@ -145,44 +154,95 @@ def ulam_map(s):
     return 2.0 - s * s
 
 
-def _ulam_step(s, lam, pred, tmp):
-    # s_new[l] = f(lam * s[l-1] + (1-lam) * s[l]), ring-closed
-    pred[0] = s[-1]
-    pred[1:] = s[:-1]
-    np.multiply(pred, lam, out=pred)
-    np.multiply(s, 1.0 - lam, out=tmp)
-    pred += tmp
-    np.multiply(pred, pred, out=tmp)
-    np.subtract(2.0, tmp, out=s)
+def _ulam_rings(s0, lam, T: int):
+    """Advance U rings together from initial lattices s0 (shape (U, N_L)) at
+    couplings lam (shape (U,)) through the transient and T recorded steps.
+
+    Returns x and y (shape (U, T), sites 0 and 1 of each recorded step) and a
+    per-ring escape flag. The state is held site-major as one flat vector,
+    s[l * U + u] = site l of ring u, behind a copy of the last site (row 0
+    of `state`) that closes the ring, so every step is five elementwise ops
+    on contiguous memory plus that copy. Each element sees the same ops in
+    the same order as a lone ring, so each row is bit-identical to it.
+    """
+    U, N_L = s0.shape
+    lam_all = np.tile(lam, N_L)
+    keep_all = np.tile(1.0 - lam, N_L)
+    state = np.empty((N_L + 1, U))
+    state[1:] = s0.T
+    state[0] = state[-1]
+    flat = state.reshape(-1)
+    s, pred_src, head, tail = flat[U:], flat[:-U], flat[:U], flat[-U:]
+    sites01 = flat[U:3 * U]
+    pred = np.empty_like(s)
+    tmp = np.empty_like(s)
+    record = np.empty((T, 2 * U))
+
+    def advance(first: int, stop: int, recorded: bool):
+        # s_new[l] = f(lam * s[l-1] + (1-lam) * s[l]), ring-closed
+        for step in range(first, stop):
+            np.multiply(pred_src, lam_all, out=pred)
+            np.multiply(s, keep_all, out=tmp)
+            np.add(pred, tmp, out=pred)
+            np.multiply(pred, pred, out=tmp)
+            np.subtract(2.0, tmp, out=s)
+            np.copyto(head, tail)
+            if recorded:
+                record[step - TRANSIENTS_MAP] = sites01
+
+    total = TRANSIENTS_MAP + T
+    escaped = np.zeros(U, dtype=bool)
+    first = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the state is checked after every step divisible by 4096 and after
+        # the last one
+        for check in [*range(0, total, 4096), total - 1]:
+            advance(first, min(check + 1, TRANSIENTS_MAP), False)
+            advance(max(first, TRANSIENTS_MAP), check + 1, True)
+            escaped |= ~np.all(np.abs(state[1:]) <= ESCAPE_THRESHOLD, axis=0)
+            first = check + 1
+    return record[:, :U].T, record[:, U:].T, escaped
 
 
-def _check_escape(s):
-    if not np.all(np.abs(s) <= ESCAPE_THRESHOLD):
-        raise NumericalEscapeError("Ulam lattice state escaped")
+def sim_ulam_batch(params_list) -> list:
+    """Simulate several Ulam lattices together; one result per ring, in order.
+
+    Each ring's series is bit-identical to `sim_ulam` on its own parameters,
+    whatever the batch around it. All rings must share T and N_L
+    (ValidationError otherwise). A ring whose state leaves
+    [-ESCAPE_THRESHOLD, ESCAPE_THRESHOLD] at one of the checks `sim_ulam`
+    makes (after every step divisible by 4096 and after the last) comes back
+    as None instead of a SeriesPair; the other rings are unaffected. At most
+    ULAM_BATCH_RINGS rings are advanced at a time, which bounds the recording
+    buffer at ULAM_BATCH_RINGS * T * 16 bytes (51 MB at T = 10^5).
+    """
+    params_list = list(params_list)
+    for p in params_list:
+        if not isinstance(p, UlamParams):
+            raise ValidationError("sim_ulam_batch takes UlamParams")
+        if (p.T, p.N_L) != (params_list[0].T, params_list[0].N_L):
+            raise ValidationError("rings of one batch must share T and N_L")
+    out = []
+    for start in range(0, len(params_list), ULAM_BATCH_RINGS):
+        batch = params_list[start:start + ULAM_BATCH_RINGS]
+        s0 = np.array([np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=p.N_L)
+                       for p in batch])
+        xs, ys, escaped = _ulam_rings(s0, np.array([p.lam for p in batch]), batch[0].T)
+        out.extend(None if esc else SeriesPair(x, y)
+                   for x, y, esc in zip(xs, ys, escaped))
+    return out
 
 
 def sim_ulam(p: UlamParams) -> SeriesPair:
     """Simulate the Ulam lattice, discarding 10^5 transient iterations.
 
-    The initial lattice is drawn uniformly in (-1, 1).
+    The initial lattice is drawn uniformly in (-1, 1). An escaped state
+    raises NumericalEscapeError.
     """
-    rng = np.random.default_rng(p.seed)
-    s = rng.uniform(-1.0, 1.0, size=p.N_L)
-    pred = np.empty_like(s)
-    tmp = np.empty_like(s)
-    x = np.empty(p.T)
-    y = np.empty(p.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(TRANSIENTS_MAP + p.T):
-            _ulam_step(s, p.lam, pred, tmp)
-            if step % 4096 == 0:
-                _check_escape(s)
-            if step >= TRANSIENTS_MAP:
-                i = step - TRANSIENTS_MAP
-                x[i] = s[0]
-                y[i] = s[1]
-    _check_escape(s)
-    return SeriesPair(x, y)
+    pair = sim_ulam_batch([p])[0]
+    if pair is None:
+        raise NumericalEscapeError("Ulam lattice state escaped")
+    return pair
 
 
 def _run_henon(p, x_update, y_update) -> SeriesPair:

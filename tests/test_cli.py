@@ -80,6 +80,11 @@ def test_sweep_then_report_and_rerun_identical(tmp_path):
         assert ra.value == rb.value or (np.isnan(ra.value) and np.isnan(rb.value))
     manifest = json.load(open(out1 / "manifest.json"))
     assert manifest["prng"] == "PCG64"
+    assert set(manifest["wall_seconds"]) == {"sweep"}
+    assert manifest["wall_seconds"]["sweep"] > 0.0
+    # 2 points x 2 runs x 2 indices x 2 directions
+    assert manifest["status_counts"] == {
+        "sweep": {"ok": 16, "degenerate": 0, "skipped-synchrony": 0}}
 
     code = run_cli("report", "--input", str(out1 / "sweep.csv"), "-o", str(out1))
     assert code == 0
@@ -98,6 +103,11 @@ def test_perturb_standardize_fg_row(tmp_path):
     assert float(rows["te_hist"]["g"]) == 1.0
     # neighbour distances are recomputed after the affine map: float-level only
     assert abs(float(rows["si1"]["f"])) < 1e-9
+    manifest = json.load(open(tmp_path / "manifest.json"))
+    assert set(manifest["wall_seconds"]) == {"baseline", "perturbed"}
+    assert all(v > 0.0 for v in manifest["wall_seconds"].values())
+    counts = {"ok": 16, "degenerate": 0, "skipped-synchrony": 0}
+    assert manifest["status_counts"] == {"baseline": counts, "perturbed": counts}
 
 
 def test_bad_flags_exit_1(tmp_path):

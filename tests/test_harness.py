@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from bicausal import (
 )
 from bicausal.core import STATUS_SKIPPED_SYNCHRONY
 from bicausal.errors import ValidationError
-from bicausal import harness
+from bicausal import harness, simulate
 from bicausal.harness import (
     Record,
     SweepResult,
@@ -253,3 +255,75 @@ def test_config_validation():
         SweepConfig(simulation="lp", indices=("bogus",))
     with pytest.raises(ValidationError):
         SweepConfig(simulation="lp", indices=("te_hist", "te_hist"))
+
+
+def _same_records(a: SweepResult, b: SweepResult) -> bool:
+    """Records equal in everything but elapsed time; NaN equals NaN."""
+    def key(r):
+        return (r.simulation, r.lambda_xy, r.lambda_yx, r.run, r.index,
+                r.direction, r.status)
+    return len(a.records) == len(b.records) and all(
+        key(ra) == key(rb) and (ra.value == rb.value or
+                                (np.isnan(ra.value) and np.isnan(rb.value)))
+        for ra, rb in zip(a.records, b.records))
+
+
+@pytest.mark.parametrize("simulation, couplings, T, extra", [
+    ("ulam", (0.18, 0.3, 0.5), 300, {"skip_synchrony": True}),
+    ("ulam", (0.1, 0.4, 0.7), 300,
+     {"perturbation": PerturbationSpec(kind="round", decimals=1)}),
+    ("ulam", (0.1, 0.4, 0.7), 300,
+     {"perturbation": PerturbationSpec(kind="data_size", data_size=400)}),
+    ("lp", (0.0, 0.3, 0.6), 500, {}),
+    ("henon_uni", (0.0, 0.3, 0.6), 500, {}),
+])
+def test_sweep_chunked_workers_match_serial(simulation, couplings, T, extra):
+    # each worker simulates its strided chunk of units as one batch; the
+    # records must not depend on how units are split between workers
+    cfg = SweepConfig(simulation=simulation, couplings=couplings, T=T, runs=2,
+                      indices=("egc", "te_hist", "si1"), base_seed=0, **extra)
+    serial = run_sweep(cfg)
+    assert _same_records(serial, run_sweep(dataclasses.replace(cfg, workers=2)))
+    if extra.get("skip_synchrony"):
+        assert any(r.status == STATUS_SKIPPED_SYNCHRONY for r in serial.records)
+
+
+def test_sweep_units_match_direct_simulation():
+    # each batched unit gets its own coupling and seed: its records equal the
+    # indices of the pair sim_ulam gives for that unit alone
+    cfg = SweepConfig(simulation="ulam", couplings=(0.1, 0.4), T=300, runs=2,
+                      indices=("te_hist", "si1"), base_seed=5)
+    res = run_sweep(cfg)
+    for (lxy, _), run in [(pt, run) for pt in cfg.couplings for run in range(2)]:
+        pair = simulate.sim_ulam(simulate.UlamParams(lam=lxy, T=300, seed=5 + run))
+        for est in harness.compute_indices(pair, "ulam", 300, cfg.indices):
+            got = {r.direction: r for r in res.records
+                   if (r.lambda_xy, r.run, r.index) == (lxy, run, est.index)}
+            assert got["xy"].value == est.value_xy and got["yx"].value == est.value_yx
+            assert got["xy"].status == est.status
+
+
+def test_sweep_escaped_simulation_is_degenerate(monkeypatch):
+    cfg = SweepConfig(simulation="ulam", couplings=(0.0, 0.3), T=300, runs=2,
+                      indices=("te_hist", "si1"), base_seed=0)
+    clean = run_sweep(cfg)
+    # just below the attractor's edge at 2: the lam=0 rings reach the
+    # threshold at a check, the lam=0.3 rings do not
+    monkeypatch.setattr(simulate, "ESCAPE_THRESHOLD", 2.0 - 1e-6)
+    res = run_sweep(cfg)
+    escaped = [r for r in res.records if r.lambda_xy == 0.0]
+    assert len(escaped) == 8
+    assert all(r.status == "degenerate" and np.isnan(r.value) for r in escaped)
+    kept = SweepResult("ulam", 300, 2, [r for r in res.records if r.lambda_xy == 0.3])
+    assert _same_records(
+        kept, SweepResult("ulam", 300, 2, [r for r in clean.records if r.lambda_xy == 0.3]))
+    assert all(r.status == "ok" for r in kept.records)
+
+
+def test_sweep_escaped_henon_is_degenerate(monkeypatch):
+    # a Henon orbit leaves (-1, 1) at once, so every restart escapes
+    monkeypatch.setattr(simulate, "ESCAPE_THRESHOLD", 1.0)
+    res = run_sweep(SweepConfig(simulation="henon_uni", couplings=(0.2,), T=200,
+                                runs=1, indices=("te_hist",)))
+    assert [r.status for r in res.records] == ["degenerate", "degenerate"]
+    assert all(np.isnan(r.value) for r in res.records)

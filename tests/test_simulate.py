@@ -71,17 +71,118 @@ def test_ulam_synchronisation_window():
     assert abs(np.corrcoef(pair.x, pair.y)[0, 1]) > 0.98
 
 
-def test_ulam_escape_guard():
+def test_ulam_escape_guard(monkeypatch):
+    # an out-of-range state diverges under the map and is caught at the next
+    # check; an in-range ring advanced in the same batch is not flagged
+    s0 = np.array([[3.0, 3.0], [0.5, -0.5]])
+    _, _, escaped = simulate._ulam_rings(s0, np.zeros(2), T=10)
+    assert escaped.tolist() == [True, False]
+    # a state outside the threshold is caught by sim_ulam_batch and sim_ulam
+    monkeypatch.setattr(simulate, "ESCAPE_THRESHOLD", 0.5)
+    p = UlamParams(lam=0.3, T=10, seed=0)
+    assert simulate.sim_ulam_batch([p]) == [None]
     with pytest.raises(NumericalEscapeError):
-        simulate._check_escape(np.array([0.0, 2e6]))
-    # an out-of-range state diverges under the map within a few steps
-    s = np.array([3.0, 3.0])
+        sim_ulam(p)
+
+
+def _reference_sim_ulam(p: UlamParams):
+    """The one-ring loop `sim_ulam` ran before rings were batched: the
+    reference the batched simulator must reproduce bit for bit."""
+
+    def step(s, lam, pred, tmp):
+        pred[0] = s[-1]
+        pred[1:] = s[:-1]
+        np.multiply(pred, lam, out=pred)
+        np.multiply(s, 1.0 - lam, out=tmp)
+        pred += tmp
+        np.multiply(pred, pred, out=tmp)
+        np.subtract(2.0, tmp, out=s)
+
+    def check(s):
+        if not np.all(np.abs(s) <= simulate.ESCAPE_THRESHOLD):
+            raise NumericalEscapeError("Ulam lattice state escaped")
+
+    transients = simulate.TRANSIENTS_MAP
+    rng = np.random.default_rng(p.seed)
+    s = rng.uniform(-1.0, 1.0, size=p.N_L)
     pred = np.empty_like(s)
     tmp = np.empty_like(s)
+    x = np.empty(p.T)
+    y = np.empty(p.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(30):
-            simulate._ulam_step(s, 0.0, pred, tmp)
-    assert not np.all(np.abs(s) <= simulate.ESCAPE_THRESHOLD)
+        for i in range(transients + p.T):
+            step(s, p.lam, pred, tmp)
+            if i % 4096 == 0:
+                check(s)
+            if i >= transients:
+                x[i - transients] = s[0]
+                y[i - transients] = s[1]
+    check(s)
+    return x, y
+
+
+def _assert_batches_match(params, sizes):
+    reference = [_reference_sim_ulam(p) for p in params]
+    for size in sizes:
+        for start in range(0, len(params), size):
+            batch = params[start:start + size]
+            got = simulate.sim_ulam_batch(batch)
+            for p, pair, (x, y) in zip(batch, got, reference[start:start + size], strict=True):
+                assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y), (p, size)
+
+
+def test_ulam_batch_matches_one_ring_loop(monkeypatch):
+    # 21 desk-grid points x seeds 0-2, interleaved so that every batch of 3
+    # or 21 mixes seeds and couplings. The update is the same at every step,
+    # so a 7,800-step transient keeps 63 reference rings cheap; it also puts
+    # the escape check after step 8,192 inside the recorded window.
+    monkeypatch.setattr(simulate, "TRANSIENTS_MAP", 7_800)
+    grid = [round(0.05 * i, 10) for i in range(21)]
+    params = [UlamParams(lam=lam, T=1000, seed=(i + run) % 3)
+              for run in range(3) for i, lam in enumerate(grid)]
+    _assert_batches_match(params, (1, 3, 21))
+
+
+def test_ulam_batch_matches_one_ring_loop_full_transient():
+    params = [UlamParams(lam=0.05, T=1000, seed=2), UlamParams(lam=0.5, T=1000, seed=0),
+              UlamParams(lam=0.95, T=1000, seed=1)]
+    _assert_batches_match(params, (3,))
+
+
+def test_ulam_batch_escape_is_per_ring(monkeypatch):
+    # just below the attractor's edge at 2, some rings reach the threshold at
+    # a check and some do not; lam=0.25 seed 0 reaches it at the check after
+    # step 12,288 (= 3 x 4096) and at no other check
+    monkeypatch.setattr(simulate, "ESCAPE_THRESHOLD", 2.0 - 1e-6)
+    params = [UlamParams(lam=lam, T=300, seed=seed)
+              for lam, seed in ((0.25, 0), (0.1, 1), (0.5, 0), (0.6, 1))]
+    batch = simulate.sim_ulam_batch(params)
+    escaped = [pair is None for pair in batch]
+    assert any(escaped) and not all(escaped)
+    for p, pair in zip(params, batch):
+        try:
+            alone = sim_ulam(p)
+        except NumericalEscapeError:
+            assert pair is None, p
+        else:
+            assert np.array_equal(pair.x, alone.x) and np.array_equal(pair.y, alone.y)
+        # the checks happen at the steps the one-ring loop checked
+        try:
+            _reference_sim_ulam(p)
+        except NumericalEscapeError:
+            assert pair is None, p
+        else:
+            assert pair is not None, p
+
+
+def test_ulam_batch_validation():
+    with pytest.raises(ValidationError):
+        simulate.sim_ulam_batch([UlamParams(lam=0.1, T=100), UlamParams(lam=0.1, T=200)])
+    with pytest.raises(ValidationError):
+        simulate.sim_ulam_batch([UlamParams(lam=0.1, T=100), UlamParams(lam=0.1, T=100, N_L=50)])
+    with pytest.raises(ValidationError):
+        simulate.sim_ulam_batch([LpParams(lam=0.1, T=100)])
+    assert simulate.sim_ulam_batch([]) == []
 
 
 def test_henon_determinism_and_bounded():
