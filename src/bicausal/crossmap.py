@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, knn_all, knn_points, metric_p
+from .neighbors import PointSet, knn_all, knn_points
 
 _SQDIST_FLOOR = float(np.finfo(float).eps)
 
@@ -17,12 +17,10 @@ _SQDIST_FLOOR = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class SiParams:
     R: int = 20
-    metric: str = "l2"
 
     def __post_init__(self):
         if self.R < 1:
             raise ValidationError("need at least one neighbour")
-        metric_p(self.metric)
 
 
 @dataclass(frozen=True)
@@ -32,14 +30,11 @@ class CcmParams:
 
     n_t: int = 40
     delta_rho: float = 0.05
-    library_sizes: tuple | None = None
-    metric: str = "l2"
     seed: int = 0
 
     def __post_init__(self):
         if self.n_t < 1:
             raise ValidationError("need at least one segment per size")
-        metric_p(self.metric)
 
 
 def _mean_sq_dist_to_all(emb: np.ndarray) -> np.ndarray:
@@ -75,16 +70,14 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
     only when the two series share their dynamics.
     """
     p2 = p if p2 is None else p2
-    if p2.metric != p.metric:
-        raise ValidationError("si1 and si2 must use the same metric")
     n = dm.n_rows
     if n <= min(p.R, p2.R) + 1:
         raise InsufficientPointsError("need more rows than neighbours")
     fitting = sorted({q.R for q in (p, p2) if n > q.R + 1})
 
     t0 = time.perf_counter()
-    idx_x, _ = knn_all(PointSet(dm.x_emb), fitting[-1], p.metric)
-    idx_y, _ = knn_all(PointSet(dm.y_emb), fitting[-1], p.metric)
+    idx_x, _ = knn_all(PointSet(dm.x_emb), fitting[-1])
+    idx_y, _ = knn_all(PointSet(dm.y_emb), fitting[-1])
 
     def direction(emb, own_idx, mapped_idx, R):
         # mean squared distance to a set of neighbour indices, in emb's space
@@ -129,7 +122,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
 
 
-def _rho_for_size(emb, target_vals, size, k, metric, n_t, seed, dir_flag):
+def _rho_for_size(emb, target_vals, size, k, n_t, seed, dir_flag):
     """Mean cross-map correlation over n_t seeded random contiguous library
     segments of the given size."""
     n = emb.shape[0]
@@ -142,7 +135,7 @@ def _rho_for_size(emb, target_vals, size, k, metric, n_t, seed, dir_flag):
         lib = emb[start:start + size]
         inside = (row_pos >= start) & (row_pos < start + size)
         exclude = np.where(inside, row_pos - start, -1)
-        idx, dist = knn_points(PointSet(lib), emb, k, metric, exclude)
+        idx, dist = knn_points(PointSet(lib), emb, k, exclude_index=exclude)
         d1 = dist[:, :1]
         with np.errstate(invalid="ignore", divide="ignore"):
             u = np.exp(-dist / d1)
@@ -185,7 +178,7 @@ def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int],
     for size in sizes:
         if not (dm.m + 2 <= size <= n):
             raise ValidationError("library sizes must lie in [m+2, n_rows]")
-    return [_rho_for_size(emb, target, size, k, p.metric, p.n_t, p.seed, dir_flag)
+    return [_rho_for_size(emb, target, size, k, p.n_t, p.seed, dir_flag)
             for size in sizes]
 
 
@@ -198,9 +191,7 @@ def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
     n = dm.n_rows
     if n < dm.m + 3:
         raise InsufficientPointsError("too few rows for cross mapping")
-    sizes = list(p.library_sizes) if p.library_sizes else [dm.m + 2, n]
-    if sorted(sizes) != sizes:
-        raise ValidationError("library sizes must be increasing")
+    sizes = [dm.m + 2, n]
     params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h,
               "T_max": n, **asdict(p)}
 

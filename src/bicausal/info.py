@@ -35,6 +35,9 @@ from .core import (
 from .errors import InsufficientDataError, InsufficientPointsError, ValidationError
 from .neighbors import seeded_jitter
 
+# amplitude of the tie-breaking jitter, relative to each column's std
+_JITTER_SCALE = 1e-10
+
 
 @dataclass(frozen=True)
 class HistParams:
@@ -49,10 +52,10 @@ class HistParams:
 
 @dataclass(frozen=True)
 class KsgParams:
-    """k-NN estimator settings; jitter breaks exact distance ties."""
+    """k-NN estimator settings; the seed drives the jitter that breaks exact
+    distance ties."""
 
     k: int = 4
-    jitter_scale: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -74,7 +77,6 @@ class EteParams:
 class CtirParams:
     tau_max: int = 5
     k: int = 4
-    jitter_scale: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -341,7 +343,7 @@ def _cmi_ksg_impl(a, b, c, p: KsgParams) -> tuple[float, bool]:
     blocks = [blk for blk in (A, B, C) if blk.size]
     joint = np.hstack(blocks)
     if _has_ties(joint):
-        joint = seeded_jitter(joint, p.jitter_scale, p.seed)
+        joint = seeded_jitter(joint, _JITTER_SCALE, p.seed)
     dims = [blk.shape[1] for blk in (A, B, C)]
     ja, jb = joint[:, :dims[0]], joint[:, dims[0]:dims[0] + dims[1]]
     jc = joint[:, dims[0] + dims[1]:]
@@ -396,7 +398,7 @@ def ctir(pair: SeriesPair, p: CtirParams) -> IndexEstimate:
     """
     if pair.T <= p.tau_max + 2:
         raise InsufficientDataError("series too short for the requested tau_max")
-    kp = KsgParams(k=p.k, jitter_scale=p.jitter_scale, seed=p.seed)
+    kp = KsgParams(k=p.k, seed=p.seed)
     params = asdict(p)
 
     def one_direction(effect, cause, miss_e, miss_c):

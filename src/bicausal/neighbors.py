@@ -1,10 +1,12 @@
 """Exact nearest-neighbour queries with deterministic tie-breaking.
 
-All queries are exact: a kd-tree pre-selects candidates, the package's own
-distance formula orders them, and rows whose cut at k is a near-tie are
-resolved by a radius query. Ties in distance are always resolved toward the
-smaller point index so that every downstream estimator is deterministic,
-including on rounded/discretised data.
+All queries run one exact algorithm (`knn_points`; `knn` is one row of it
+and `knn_all` the whole set): a kd-tree pre-selects k+1 candidates per row
+(plus the excluded member), the package's own distance formula orders them,
+and rows whose cut at k is a near-tie take every point within their k-th
+candidate distance, from one ball query per block of such rows. Ties in
+distance are always resolved toward the smaller point index so that every
+downstream estimator is deterministic, including on rounded/discretised data.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ _MINKOWSKI = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
 
 # distances this close (relative) are treated as tied and resolved exactly
 _TIE_RTOL = 1e-9
+# tie rows per ball query; bounds the Python candidate lists held at once
+_TIE_BLOCK = 256
 
 
 def metric_p(metric: str) -> float:
@@ -77,40 +81,16 @@ class PointSet:
         return self._tree
 
 
-def _exact_neighbors(pset: PointSet, query: np.ndarray, k: int, p: float,
-                     exclude: int) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest points of `query`, ordered by (distance, index), optionally
-    excluding one point index. Exact under arbitrary ties."""
-    # upper bound on the k-th distance: any k+1 candidates suffice
-    kq = min(k + (1 if exclude >= 0 else 0), pset.n)
-    d_cand, _ = pset.tree.query(query, k=kq, p=p)
-    radius = float(np.max(d_cand))
-    # inflate: the tree's arithmetic may disagree with pairwise_distance by
-    # an ulp, and a dropped boundary point would silently shrink the set
-    radius += max(1e-12, 1e-6 * radius)
-    cand = pset.tree.query_ball_point(query, r=radius, p=p)
-    cand = np.array(sorted(cand), dtype=int)
-    if exclude >= 0:
-        cand = cand[cand != exclude]
-    dist = pairwise_distance(pset.points[cand] - query, p)
-    order = np.argsort(dist, kind="stable")  # stable => ties by ascending index
-    chosen = order[:k]
-    return cand[chosen], dist[chosen]
-
-
 def knn(pset: PointSet, query_index: int, k: int, metric: str = "l2",
         exclude_self: bool = True) -> list[tuple[int, float]]:
     """k nearest neighbours of one member point, sorted by ascending
-    distance with ties broken by smaller index."""
-    p = metric_p(metric)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    available = pset.n - 1 if exclude_self else pset.n
-    if k > available:
-        raise InsufficientPointsError(f"asked for {k} neighbours, only {available} available")
-    q = pset.points[query_index]
-    idx, dist = _exact_neighbors(pset, q, k, p, query_index if exclude_self else -1)
-    return [(int(i), float(d)) for i, d in zip(idx, dist)]
+    distance with ties broken by smaller index: row 0 of `knn_points`."""
+    if (isinstance(query_index, bool) or not isinstance(query_index, (int, np.integer))
+            or not 0 <= query_index < pset.n):
+        raise ValidationError(f"query index must be an integer in [0, {pset.n})")
+    idx, dist = knn_points(pset, pset.points[[query_index]], k, metric,
+                           [query_index] if exclude_self else None)
+    return [(int(i), float(d)) for i, d in zip(idx[0], dist[0])]
 
 
 def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
@@ -123,6 +103,8 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
     (distance, index) order.
     """
     p = metric_p(metric)
+    if k < 1:
+        raise ValidationError("k must be >= 1")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     nq = queries.shape[0]
     if exclude_index is None:
@@ -143,15 +125,28 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
     dist = np.take_along_axis(dist, order, axis=-1)
     idx = np.take_along_axis(idx, order, axis=-1)
     out_idx, out_dist = idx[:, :k], dist[:, :k]
-    if kq < pset.n:
-        # (near-)tie across the cut: the tree pre-selection may rank
-        # ulp-level ties either way, so membership is resolved exactly. An
-        # excluded member the tree left out is no nearer than any retrieved
-        # point, so it cannot be among the k and needs no case of its own.
-        # With kq == n every point is a candidate and no row is ambiguous.
-        for i in np.nonzero(dist[:, k] - dist[:, k - 1] <= _TIE_RTOL * dist[:, k])[0]:
-            out_idx[i], out_dist[i] = _exact_neighbors(
-                pset, queries[i], k, p, exclude_index[i])
+    if kq == pset.n:
+        # every point is a candidate, so no row is ambiguous
+        return out_idx, out_dist
+    # (near-)tie across the cut: the tree pre-selection may rank ulp-level
+    # ties either way, so these rows take every point within their k-th
+    # candidate distance. An excluded member the tree left out is no nearer
+    # than any retrieved point, so it cannot be among the k.
+    tie = np.nonzero(dist[:, k] - dist[:, k - 1] <= _TIE_RTOL * dist[:, k])[0]
+    for start in range(0, len(tie), _TIE_BLOCK):
+        rows = tie[start:start + _TIE_BLOCK]
+        radius = dist[rows, k - 1]
+        # widened: the tree's arithmetic may disagree with pairwise_distance
+        # by an ulp, and a dropped boundary point would shrink the set
+        radius = radius + np.maximum(1e-12, 1e-6 * radius)
+        balls = pset.tree.query_ball_point(queries[rows], r=radius, p=p,
+                                           return_sorted=True)
+        for i, ball in zip(rows, balls):
+            cand = np.asarray(ball, dtype=int)
+            cand = cand[cand != exclude_index[i]]
+            d = pairwise_distance(pset.points[cand] - queries[i], p)
+            chosen = np.argsort(d, kind="stable")[:k]  # ties by ascending index
+            out_idx[i], out_dist[i] = cand[chosen], d[chosen]
     return out_idx, out_dist
 
 

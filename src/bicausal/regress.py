@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, knn_all, metric_p
+from .neighbors import PointSet, knn_all
 
 # relative floor below which a local self-fit counts as deterministic
 _EPS_FLOOR = 1e-13
@@ -18,12 +18,11 @@ _EPS_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class EgcParams:
-    """Locally linear index over L random delta-neighbourhoods (joint space)."""
+    """Locally linear index over L random delta-neighbourhoods (l1 balls in
+    the joint space)."""
 
     L: int = 100
     delta: float = 0.5
-    metric: str = "l1"
-    min_points: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -31,14 +30,6 @@ class EgcParams:
             raise ValidationError("need at least one neighbourhood")
         if self.delta <= 0:
             raise ValidationError("neighbourhood radius must be positive")
-        metric_p(self.metric)
-
-    def resolved_min_points(self, m: int) -> int:
-        if self.min_points is not None:
-            if self.min_points < 2 * m + 2:
-                raise ValidationError("min_points must be at least 2m + 2")
-            return self.min_points
-        return max(2 * m + 2, 10)
 
 
 @dataclass(frozen=True)
@@ -68,13 +59,11 @@ class PiParams:
     """
 
     R: int = 1
-    metric: str = "l2"
     include_self: bool = False
 
     def __post_init__(self):
         if self.R < 1:
             raise ValidationError("need at least one neighbour")
-        metric_p(self.metric)
 
 
 @dataclass(frozen=True)
@@ -163,17 +152,16 @@ def egc(dm: DelayMatrix, p: EgcParams = EgcParams()) -> IndexEstimate:
     usable pair of fits (typical under synchrony).
     """
     n = dm.n_rows
-    min_pts = p.resolved_min_points(dm.m)
+    # smaller neighbourhoods are skipped: the joint fit has 2m + 1 coefficients
+    min_pts = max(2 * dm.m + 2, 10)
     z = dm.z_emb
     zset = PointSet(z)
-    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h,
-              "L": p.L, "delta": p.delta, "metric": p.metric,
-              "min_points": min_pts, "seed": p.seed}
+    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(p)}
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(p.seed)
     refs = np.arange(n) if p.L >= n else rng.choice(n, size=p.L, replace=False)
-    hoods = zset.tree.query_ball_point(z[refs], r=p.delta, p=metric_p(p.metric))
+    hoods = zset.tree.query_ball_point(z[refs], r=p.delta, p=1.0)
 
     ones = np.ones((n, 1))
     design_x = np.hstack([ones, dm.x_emb])
@@ -255,10 +243,10 @@ def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
         pred = future[neighbor_idx].mean(axis=1)
         return float(((future - pred) ** 2).mean())
 
-    idx_z, _ = knn_all(PointSet(dm.z_emb), p.R, p.metric)
-    idx_x, _ = knn_all(PointSet(dm.x_emb), p.R, p.metric)
+    idx_z, _ = knn_all(PointSet(dm.z_emb), p.R)
+    idx_x, _ = knn_all(PointSet(dm.x_emb), p.R)
     v_yx = mse(idx_x, dm.x_future) - mse(idx_z, dm.x_future)
-    idx_y, _ = knn_all(PointSet(dm.y_emb), p.R, p.metric)
+    idx_y, _ = knn_all(PointSet(dm.y_emb), p.R)
     v_xy = mse(idx_y, dm.y_future) - mse(idx_z, dm.y_future)
     elapsed = time.perf_counter() - t0
 

@@ -8,7 +8,7 @@ import pytest
 
 from bicausal import crossmap, harness, info, regress
 from bicausal.core import STATUS_DEGENERATE, STATUS_OK, EmbeddingSpec, embed
-from bicausal.errors import BicausalError, InsufficientPointsError, ValidationError
+from bicausal.errors import BicausalError, InsufficientPointsError
 from bicausal.perturb import PerturbationSpec, apply_perturbation
 
 ESTIMATORS = ((regress, "egc"), (regress, "nlgc"), (regress, "pi"),
@@ -119,13 +119,6 @@ def test_si_only_larger_radius_too_large():
                                                         ("si2", STATUS_DEGENERATE)]
     with pytest.raises(InsufficientPointsError):
         crossmap.si_pair(dm, crossmap.SiParams(R=27), ps["si2"])
-
-
-def test_si_radii_must_share_metric():
-    pair = harness.simulate_pair("lp", (0.0, 0.3), 200, seed=0)
-    dm = embed(pair, EmbeddingSpec(m=2))
-    with pytest.raises(ValidationError):
-        crossmap.si_pair(dm, crossmap.SiParams(R=5), crossmap.SiParams(R=10, metric="l1"))
 
 
 def test_each_estimator_called_once_per_unit_through_its_module(monkeypatch):

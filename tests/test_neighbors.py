@@ -3,9 +3,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from bicausal import harness
+from bicausal.core import EmbeddingSpec, embed
 from bicausal.errors import InsufficientPointsError, ValidationError
 from bicausal.info import _strict_counts, _tree_counts
-from bicausal.neighbors import PointSet, knn, knn_all, knn_points, seeded_jitter
+from bicausal.neighbors import (
+    PointSet,
+    knn,
+    knn_all,
+    knn_points,
+    metric_p,
+    pairwise_distance,
+    seeded_jitter,
+)
 
 METRICS = ("l1", "l2", "linf")
 
@@ -54,6 +64,26 @@ def test_knn_insufficient_points():
         knn(ps, 0, 2, exclude_self=True)
 
 
+@pytest.mark.parametrize("query_index", [-1, 4, 1.0, True, "0"])
+def test_knn_bad_query_index(query_index):
+    # -1 used to wrap to point 3 and return it as its own neighbour
+    ps = PointSet(np.array([0.0, 1.0, 2.0, 10.0]))
+    with pytest.raises(ValidationError):
+        knn(ps, query_index, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda ps, k: knn(ps, 0, k),
+    lambda ps, k: knn_all(ps, k),
+    lambda ps, k: knn_points(ps, ps.points[:2], k),
+], ids=["knn", "knn_all", "knn_points"])
+def test_k_below_one(call, k):
+    # knn_all(ps, 0) used to return (n, 0) arrays and k = -1 an IndexError
+    with pytest.raises(ValidationError):
+        call(PointSet(np.array([0.0, 1.0, 2.0, 10.0])), k)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 9999), n=st.integers(5, 80), k=st.integers(1, 4),
        metric=st.sampled_from(METRICS), dup=st.booleans())
@@ -99,9 +129,11 @@ def test_knn_points_external_queries_with_exclusion():
 @example(seed=0, n=1, k=1, dim=1, decimals=None, metric="l2", exclusion="none")
 @example(seed=0, n=66, k=64, dim=2, decimals=0, metric="linf", exclusion="self")
 @example(seed=0, n=150, k=8, dim=1, decimals=0, metric="l1", exclusion="partial")
+@example(seed=0, n=600, k=20, dim=2, decimals=0, metric="l2", exclusion="self")
 def test_knn_points_matches_scan(seed, n, k, dim, decimals, metric, exclusion):
     # both sides of 64 points, n <= k+2 (every point a candidate), kq == 1,
-    # and rounded data whose coincident points can crowd out the excluded one
+    # rounded data whose coincident points can crowd out the excluded one,
+    # and more tie rows than one ball-query block holds (n=600)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, dim))
     if decimals is not None:
@@ -118,6 +150,51 @@ def test_knn_points_matches_scan(seed, n, k, dim, decimals, metric, exclusion):
         want = brute_knn(pts, pts[row], k, metric, exclude=ex)
         assert idx[row].tolist() == [i for i, _ in want]
         np.testing.assert_allclose(dist[row], [d for _, d in want], rtol=1e-12, atol=1e-12)
+
+
+def exact_neighbors_per_row(pset, queries, k, metric, exclude_index):
+    """The earlier per-row tie resolution, applied to every row: a k-NN
+    query bounds the k-th distance, a radius query around it takes every
+    candidate, and a stable sort of the sorted candidates breaks ties by
+    index."""
+    p = metric_p(metric)
+    out_idx, out_dist = [], []
+    for query, exclude in zip(queries, exclude_index):
+        kq = min(k + (1 if exclude >= 0 else 0), pset.n)
+        d_cand, _ = pset.tree.query(query, k=kq, p=p)
+        radius = float(np.max(d_cand))
+        radius += max(1e-12, 1e-6 * radius)
+        cand = np.array(sorted(pset.tree.query_ball_point(query, r=radius, p=p)), dtype=int)
+        if exclude >= 0:
+            cand = cand[cand != exclude]
+        dist = pairwise_distance(pset.points[cand] - query, p)
+        chosen = np.argsort(dist, kind="stable")[:k]
+        out_idx.append(cand[chosen])
+        out_dist.append(dist[chosen])
+    return np.array(out_idx), np.array(out_dist)
+
+
+@pytest.mark.parametrize("decimals", [1, 0])
+@pytest.mark.parametrize("simulation,T,point,k", [
+    ("ulam", 1000, (0.4, 0.0), 20),
+    ("lp", 2000, (0.0, 0.3), 30),
+])
+def test_knn_points_equals_per_row_resolution_on_rounded_embeddings(simulation, T, point, k,
+                                                                    decimals):
+    # rounded delay embeddings send most rows through the tie path; the
+    # blocked ball queries must give the per-row resolution's rows exactly
+    pair = harness.simulate_pair(simulation, point, T, seed=0)
+    dm = embed(pair, EmbeddingSpec(m=harness.index_presets(simulation, T)["m"]))
+    rng = np.random.default_rng(0)
+    for emb in (dm.x_emb, dm.z_emb):
+        pts = np.round(emb, decimals)
+        pset, n = PointSet(pts), len(pts)
+        for exclude in (np.arange(n), np.where(rng.random(n) < 0.5, np.arange(n), -1),
+                        np.full(n, -1)):
+            got = knn_points(pset, pts, k, "l2", exclude)
+            want = exact_neighbors_per_row(pset, pts, k, "l2", exclude)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 def strict_count(points, qi, radius):
