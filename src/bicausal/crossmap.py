@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, knn_all, knn_points
+from .neighbors import PointSet, _sum_sq, knn_all, knn_points
 
 _SQDIST_FLOOR = float(np.finfo(float).eps)
 
@@ -39,9 +39,14 @@ class CcmParams:
 
 def _mean_sq_dist_to_all(emb: np.ndarray) -> np.ndarray:
     """Mean squared euclidean distance from each point to all others,
-    via the moment identity (no n^2 matrix)."""
+    via the moment identity (no n^2 matrix).
+
+    The identity subtracts terms of the size of |x|^2, so the points are
+    centred on their mean first: distances do not change, and a large
+    offset of the data no longer cancels away their precision."""
     n = emb.shape[0]
-    sq = (emb**2).sum(axis=1)
+    emb = emb - emb.mean(axis=0)
+    sq = _sum_sq(emb)
     total = n * sq + sq.sum() - 2.0 * emb @ emb.sum(axis=0)
     return total / (n - 1)
 
@@ -82,8 +87,7 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
     def direction(emb, own_idx, mapped_idx, R):
         # mean squared distance to a set of neighbour indices, in emb's space
         def msd(nbr):
-            diff = emb[:, None, :] - emb[nbr[:, :R]]
-            return (diff**2).sum(axis=2).mean(axis=1)
+            return _sum_sq(emb[:, None, :], emb[nbr[:, :R]]).mean(axis=1)
 
         r_own = msd(own_idx)
         r_map = msd(mapped_idx)

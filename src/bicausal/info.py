@@ -281,28 +281,47 @@ def _range_counts(seq: np.ndarray, start, stop, low, high) -> np.ndarray:
     return less[:m] - less[m:]
 
 
-def _strict_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _strict_counts(points: np.ndarray, radii: np.ndarray, cols=None,
+                   windows: dict | None = None) -> np.ndarray:
     """Per-point count of *other* points strictly within each radius
-    (max-norm distance fl(|x_j - x_i|) < r_i); 0 where the radius is 0.
+    (max-norm distance fl(|x_j - x_i|) < r_i) in the columns `cols` of
+    `points` (all of them by default); 0 where the radius is 0.
+
+    One or two columns count from each column's rank windows
+    (`_window_counts`). The windows are exact, not v -/+ r: the edges are
+    stepped to where the kd-tree's own test fl(|x_j - x_i|) < r changes, and
+    that test is monotone in x_j on each side of x_i, so the counts equal
+    `_tree_counts`'s. Three or more columns use `_tree_counts`.
+
+    `windows` maps a column of `points` to its rank windows at these radii
+    and is filled as columns are windowed, so calls that pass the same dict
+    (the marginals of one estimate) window each column once.
+    """
+    cols = list(range(points.shape[1])) if cols is None else cols
+    if len(cols) > 2:
+        return _tree_counts(points[:, cols], radii)
+    windows = {} if windows is None else windows
+    for j in cols:
+        if j not in windows:
+            windows[j] = _rank_windows(points[:, j], radii)
+    return _window_counts([windows[j] for j in cols], radii)
+
+
+def _window_counts(windows: list, radii: np.ndarray) -> np.ndarray:
+    """`_strict_counts` from the `_rank_windows` of one or two columns.
 
     One column: a rank window [lo, hi) over the sorted values, counting
-    hi - lo - 1. Two columns: the same windows on each column; a point is
-    counted when its rank in each column lies in that column's window, which
-    `_range_counts` counts over the column-0 ranks taken in column-1 order.
-    The windows are exact, not v -/+ r: the edges are stepped to where the
-    kd-tree's own test fl(|x_j - x_i|) < r changes, and that test is monotone
-    in x_j on each side of x_i, so the counts equal `_tree_counts`'s.
-    Three or more columns use `_tree_counts`.
+    hi - lo - 1. Two columns: a point is counted when its rank in each
+    column lies in that column's window, which `_range_counts` counts over
+    the column-0 ranks taken in column-1 order.
     """
-    if points.shape[1] > 2:
-        return _tree_counts(points, radii)
-    n = len(points)
+    n = len(radii)
     counts = np.empty(n, dtype=np.int64)
-    order0, lo0, hi0 = _rank_windows(points[:, 0], radii)
-    if points.shape[1] == 1:
+    order0, lo0, hi0 = windows[0]
+    if len(windows) == 1:
         counts[order0] = hi0 - lo0 - 1
     else:
-        order1, lo1, hi1 = _rank_windows(points[:, 1], radii)
+        order1, lo1, hi1 = windows[1]
         rank0 = np.empty(n, dtype=np.int64)
         rank0[order0] = np.arange(n)
         own = rank0[order1]  # column-0 rank of the point at each column-1 position
@@ -345,17 +364,17 @@ def _cmi_ksg_impl(a, b, c, p: KsgParams) -> tuple[float, bool]:
     if _has_ties(joint):
         joint = seeded_jitter(joint, _JITTER_SCALE, p.seed)
     dims = [blk.shape[1] for blk in (A, B, C)]
-    ja, jb = joint[:, :dims[0]], joint[:, dims[0]:dims[0] + dims[1]]
-    jc = joint[:, dims[0] + dims[1]:]
 
     d_k = cKDTree(joint).query(joint, k=[p.k + 1], p=np.inf)[0][:, 0]
-    if jc.shape[1]:
-        n_ac = _strict_counts(np.hstack([ja, jc]), d_k)
-        n_bc = _strict_counts(np.hstack([jb, jc]), d_k)
-        n_c = _strict_counts(jc, d_k)
+    a_cols = list(range(dims[0]))
+    b_cols = list(range(dims[0], dims[0] + dims[1]))
+    c_cols = list(range(dims[0] + dims[1], joint.shape[1]))
+    windows = {}  # shared by the marginals: each column is windowed once
+    n_ac = _strict_counts(joint, d_k, a_cols + c_cols, windows)
+    n_bc = _strict_counts(joint, d_k, b_cols + c_cols, windows)
+    if c_cols:
+        n_c = _strict_counts(joint, d_k, c_cols, windows)
     else:
-        n_ac = _strict_counts(ja, d_k)
-        n_bc = _strict_counts(jb, d_k)
         n_c = np.where(d_k > 0.0, n - 1, 0)
 
     value = float(digamma(p.k) - np.mean(digamma(n_ac + 1) + digamma(n_bc + 1)

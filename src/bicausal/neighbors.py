@@ -4,14 +4,18 @@ All queries run one exact algorithm (`knn_points`; `knn` is one row of it
 and `knn_all` the whole set): a kd-tree pre-selects k+1 candidates per row
 (plus the excluded member), the package's own distance formula orders them,
 and rows whose cut at k is a near-tie take every point within their k-th
-candidate distance, from one ball query per block of such rows. Ties in
-distance are always resolved toward the smaller point index so that every
-downstream estimator is deterministic, including on rounded/discretised data.
+candidate distance, from one ball query per block of such rows. When every
+point of the set is a candidate (k + 1 plus the excluded member reaches the
+set size, as for cross mapping's smallest libraries) no tree is built: each
+row's candidates are all the points. Ties in distance are always resolved
+toward the smaller point index so that every downstream estimator is
+deterministic, including on rounded/discretised data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -33,17 +37,45 @@ def metric_p(metric: str) -> float:
         raise ValidationError(f"unknown metric {metric!r}; expected one of {sorted(_MINKOWSKI)}")
 
 
+def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the last axis of (a - b)**2, or of a**2 without b; a and b
+    broadcast against each other.
+
+    The squares are added one coordinate at a time, in order
+    (out = c0*c0; out += c1*c1; ...), so no (..., d) array of differences or
+    squares is made. numpy adds a reduction over a contiguous axis shorter
+    than 8 in the same order, so for fewer than 8 coordinates this equals
+    `((a - b) ** 2).sum(axis=-1)` bit for bit. From 8 coordinates on numpy
+    sums pairwise and the two may differ in the last bit; this stays the
+    package's one squared-distance formula there too (every preset embeds
+    at most 4 columns).
+    """
+    def square(j):
+        c = a[..., j] if b is None else a[..., j] - b[..., j]
+        return c * c
+
+    out = square(0)
+    for j in range(1, a.shape[-1]):
+        out += square(j)
+    return out
+
+
 def pairwise_distance(diff: np.ndarray, p: float) -> np.ndarray:
     """Distance along the last axis of a difference array.
 
     This is the package's single decisive distance formula: kd-trees only
     pre-select candidates, and any ordering or tie decision is made on these
     values, keeping tie-breaking reproducible across query paths.
+
+    l2 is the square root of `_sum_sq`, which adds the squared coordinates
+    one at a time, in order; for fewer than 8 coordinates that equals
+    `np.sqrt((diff * diff).sum(axis=-1))` exactly, because numpy adds so
+    short a contiguous axis in the same order.
     """
     if p == 1.0:
         return np.abs(diff).sum(axis=-1)
     if p == 2.0:
-        return np.sqrt((diff * diff).sum(axis=-1))
+        return np.sqrt(_sum_sq(diff))
     return np.abs(diff).max(axis=-1)
 
 
@@ -116,8 +148,13 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
         raise InsufficientPointsError(f"asked for {k} neighbours of {pset.n} points")
 
     kq = min(k + max_excluded + 1, pset.n)
-    # a range keeps the result 2-D even when kq is 1
-    _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
+    if kq == pset.n:
+        # every point is a candidate: the (distance, index) sort below orders
+        # them exactly, so the tree has nothing to pre-select
+        idx = np.broadcast_to(np.arange(pset.n), (nq, pset.n))
+    else:
+        # a range keeps the result 2-D even when kq is 1
+        _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
     # decisive distances come from the package formula, not the tree's
     dist = pairwise_distance(pset.points[idx] - queries[:, None, :], p)
     dist[idx == exclude_index[:, None]] = np.inf
@@ -141,11 +178,17 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
         radius = radius + np.maximum(1e-12, 1e-6 * radius)
         balls = pset.tree.query_ball_point(queries[rows], r=radius, p=p,
                                            return_sorted=True)
-        for i, ball in zip(rows, balls):
-            cand = np.asarray(ball, dtype=int)
-            cand = cand[cand != exclude_index[i]]
-            d = pairwise_distance(pset.points[cand] - queries[i], p)
-            chosen = np.argsort(d, kind="stable")[:k]  # ties by ascending index
+        # the block's candidates in one array, row by row, each row's
+        # candidates in index order
+        lens = [len(ball) for ball in balls]
+        cand = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=sum(lens))
+        slot = np.repeat(np.arange(len(rows)), lens)
+        keep = cand != exclude_index[rows[slot]]
+        cand, slot = cand[keep], slot[keep]
+        d = pairwise_distance(pset.points[cand] - queries[rows[slot]], p)
+        bounds = np.searchsorted(slot, np.arange(len(rows) + 1))
+        for i, lo, hi in zip(rows, bounds[:-1], bounds[1:]):
+            chosen = lo + np.argsort(d[lo:hi], kind="stable")[:k]  # ties by index
             out_idx[i], out_dist[i] = cand[chosen], d[chosen]
     return out_idx, out_dist
 

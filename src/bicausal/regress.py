@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, knn_all
+from .neighbors import PointSet, _sum_sq, knn_all
 
 # relative floor below which a local self-fit counts as deterministic
 _EPS_FLOOR = 1e-13
@@ -106,7 +106,7 @@ def kmeans(points, P: int, seed=0, max_iter: int = 100) -> np.ndarray:
 
     centers = np.empty((P, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    d2 = _sum_sq(pts, centers[0])
     for j in range(1, P):
         total = d2.sum()
         if total > 0:
@@ -114,11 +114,11 @@ def kmeans(points, P: int, seed=0, max_iter: int = 100) -> np.ndarray:
             centers[j] = pts[rng.choice(n, p=probs)]
         else:
             centers[j] = pts[rng.integers(n)]
-        d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sum_sq(pts, centers[j]))
 
     assign = None
     for _ in range(max_iter):
-        d2_all = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2_all = _sum_sq(pts[:, None, :], centers)
         new_assign = d2_all.argmin(axis=1)
         for j in range(P):
             member = new_assign == j
@@ -188,7 +188,7 @@ def egc(dm: DelayMatrix, p: EgcParams = EgcParams()) -> IndexEstimate:
 
 
 def _rbf_features(emb: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
-    d2 = ((emb[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sum_sq(emb[:, None, :], centers)
     return np.exp(-d2 / (2.0 * var))
 
 

@@ -275,10 +275,14 @@ def test_ctir_requires_length():
 # rank-window counts against the kd-tree counts they replace
 
 
+def _tree_strict_counts(points, radii, cols=None, windows=None):
+    return info._tree_counts(points if cols is None else points[:, cols], radii)
+
+
 def _with_tree_counts(monkeypatch, estimate):
     fast = estimate()
     with monkeypatch.context() as mp:
-        mp.setattr(info, "_strict_counts", info._tree_counts)
+        mp.setattr(info, "_strict_counts", _tree_strict_counts)
         tree = estimate()
     return fast, tree
 

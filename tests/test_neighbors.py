@@ -9,6 +9,7 @@ from bicausal.errors import InsufficientPointsError, ValidationError
 from bicausal.info import _strict_counts, _tree_counts
 from bicausal.neighbors import (
     PointSet,
+    _sum_sq,
     knn,
     knn_all,
     knn_points,
@@ -37,6 +38,27 @@ def brute_knn(points, query, k, metric, exclude=-1):
     ]
     dists.sort()
     return [(i, d) for d, i in dists[:k]]
+
+
+@pytest.mark.parametrize("data", ["random", "rounded", "small", "large"])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_coordinate_sums_equal_numpy_reductions(d, data):
+    # the kernels add one coordinate at a time; numpy adds a contiguous axis
+    # shorter than 8 in the same order, so the results must agree bit for bit
+    # (this pins that numpy behaviour for the build under test)
+    rng = np.random.default_rng(d)
+    a, b = rng.normal(size=(2, 300, d))
+    if data == "rounded":
+        a, b = np.round(a, 1), np.round(b, 1)
+    scale = {"small": 1e-3, "large": 1e3}.get(data, 1.0)
+    a, b = a * scale, b * scale
+    diff = a[:, None, :] - b[None, :40, :]
+    assert np.array_equal(_sum_sq(diff), (diff * diff).sum(axis=-1))
+    assert np.array_equal(_sum_sq(a[:, None, :], b[:40]), (diff ** 2).sum(axis=-1))
+    assert np.array_equal(_sum_sq(a, b[0]), ((a - b[0]) ** 2).sum(axis=-1))
+    assert np.array_equal(pairwise_distance(diff, 1.0), np.abs(diff).sum(axis=-1))
+    assert np.array_equal(pairwise_distance(diff, 2.0), np.sqrt((diff * diff).sum(axis=-1)))
+    assert np.array_equal(pairwise_distance(diff, np.inf), np.abs(diff).max(axis=-1))
 
 
 def test_knn_basic_1d():
@@ -148,6 +170,34 @@ def test_knn_points_matches_scan(seed, n, k, dim, decimals, metric, exclusion):
     for row in range(n):
         ex = -1 if exclude is None else int(exclude[row])
         want = brute_knn(pts, pts[row], k, metric, exclude=ex)
+        assert idx[row].tolist() == [i for i, _ in want]
+        np.testing.assert_allclose(dist[row], [d for _, d in want], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+@pytest.mark.parametrize("size", ["m+2", "m+4"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_knn_points_ccm_smallest_library(m, size, decimals):
+    # cross mapping's smallest library: m+2 points, k = m+1, every point a
+    # candidate, 10^3 queries of which the library's own rows exclude
+    # themselves. With an excluded member the tree pre-selects k+2 = m+3
+    # candidates, so m+4 points is the smallest library that needs it
+    rng = np.random.default_rng(m)
+    queries = rng.normal(size=(1000, m))
+    if decimals is not None:
+        queries = np.round(queries, decimals)
+    start, n_lib = 500, m + 2 + 2 * (size == "m+4")
+    lib = queries[start:start + n_lib]
+    rows = np.arange(1000)
+    exclude = np.where((rows >= start) & (rows < start + n_lib), rows - start, -1)
+    pset = PointSet(lib)
+    idx, dist = knn_points(pset, queries, m + 1, "l2", exclude)
+    if size == "m+2":
+        assert pset._tree is None  # no tree when every point is a candidate
+    elif decimals is None:
+        assert pset._tree is not None  # no tie rows: the tree pre-selected
+    for row in range(1000):
+        want = brute_knn(lib, queries[row], m + 1, "l2", exclude=int(exclude[row]))
         assert idx[row].tolist() == [i for i, _ in want]
         np.testing.assert_allclose(dist[row], [d for _, d in want], rtol=1e-12, atol=1e-12)
 

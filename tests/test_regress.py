@@ -16,6 +16,7 @@ from bicausal import (
     pi,
     sim_lp,
 )
+from bicausal import harness
 from bicausal.core import STATUS_DEGENERATE
 from bicausal.errors import InsufficientPointsError, ValidationError
 
@@ -98,6 +99,52 @@ def test_kmeans_deterministic():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(100, 2))
     assert np.array_equal(kmeans(pts, 5, seed=7), kmeans(pts, 5, seed=7))
+
+
+def kmeans_reductions(pts, P, seed=0, max_iter=100):
+    """k-means with its squared distances as numpy `.sum(axis=...)`
+    reductions over difference arrays, the form `kmeans` replaced."""
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((P, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, P):
+        total = d2.sum()
+        if total > 0:
+            centers[j] = pts[rng.choice(n, p=d2 / total)]
+        else:
+            centers[j] = pts[rng.integers(n)]
+        d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
+    assign = None
+    for _ in range(max_iter):
+        d2_all = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2_all.argmin(axis=1)
+        for j in range(P):
+            member = new_assign == j
+            if member.any():
+                centers[j] = pts[member].mean(axis=0)
+            else:
+                far = d2_all.min(axis=1).argmax()
+                centers[j] = pts[far]
+                new_assign[far] = j
+        if assign is not None and np.array_equal(assign, new_assign):
+            break
+        assign = new_assign
+    return centers
+
+
+@pytest.mark.parametrize("simulation,T", [("ulam", 1000), ("lp", 2000)])
+def test_kmeans_equals_numpy_reductions_at_presets(simulation, T):
+    # the coordinate-wise squared distances are bit-identical to the numpy
+    # reductions, so nlgc's centres are too (m=1, P=50 on ulam; m=2, P=10 on lp)
+    presets = harness.index_presets(simulation, T)
+    pair = harness.simulate_pair(simulation, (0.4, 0.4), T, seed=0)
+    dm = embed(pair, EmbeddingSpec(m=presets["m"]))
+    P = presets["nlgc"].P
+    for emb, seed in ((dm.x_emb, [0, 0]), (dm.y_emb, [0, 1]),
+                      (np.round(dm.x_emb, 2), [3, 0])):
+        assert np.array_equal(kmeans(emb, P, seed=seed), kmeans_reductions(emb, P, seed=seed))
 
 
 # ---------------------------------------------------------------------------
