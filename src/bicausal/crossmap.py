@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, _sum_sq, knn_all, knn_points
+from .neighbors import Graphs, PointSet, _sum_sq, knn_all, knn_points
 
 _SQDIST_FLOOR = float(np.finfo(float).eps)
 
@@ -51,8 +51,8 @@ def _mean_sq_dist_to_all(emb: np.ndarray) -> np.ndarray:
     return total / (n - 1)
 
 
-def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
-            p2: SiParams | None = None) -> tuple[IndexEstimate, IndexEstimate]:
+def si_pair(dm: DelayMatrix, p: SiParams = SiParams(), p2: SiParams | None = None,
+            graphs: Graphs | None = None) -> tuple[IndexEstimate, IndexEstimate]:
     """Both similarity indices at once: si1 with p.R neighbours, si2 with
     p2.R (default p.R).
 
@@ -64,8 +64,8 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
         si2 = mean log( r^R(t) / r^R(t | other) )
 
     Squared euclidean distances throughout; identical series give si2 = 0.
-    One kNN graph per series at the larger R serves both indices: rows are
-    in exact (distance, index) order, so its first R columns are the R-NN
+    One kNN graph per series at the larger R (read through `graphs`, see
+    `neighbors.Graphs`) serves both indices: its first R columns are the R-NN
     graph. When only the larger R does not fit the rows, that index is
     degenerate with NaN values.
 
@@ -81,8 +81,9 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
     fitting = sorted({q.R for q in (p, p2) if n > q.R + 1})
 
     t0 = time.perf_counter()
-    idx_x, _ = knn_all(PointSet(dm.x_emb), fitting[-1])
-    idx_y, _ = knn_all(PointSet(dm.y_emb), fitting[-1])
+    graphs = Graphs() if graphs is None else graphs
+    idx_x, _ = graphs.read((dm.m, "x"), dm.x_emb, fitting[-1], knn_all)
+    idx_y, _ = graphs.read((dm.m, "y"), dm.y_emb, fitting[-1], knn_all)
 
     def direction(emb, own_idx, mapped_idx, R):
         # mean squared distance to a set of neighbour indices, in emb's space
@@ -126,9 +127,9 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
 
 
-def _rho_for_size(emb, target_vals, size, k, n_t, seed, dir_flag):
+def _rho_for_size(emb, target_vals, size, k, n_t, seed, dir_flag, graphs, key):
     """Mean cross-map correlation over n_t seeded random contiguous library
-    segments of the given size."""
+    segments of the given size; the full library is emb's graph `key`."""
     n = emb.shape[0]
     rng = np.random.default_rng([seed, dir_flag, size])
     starts = rng.integers(0, n - size + 1, size=n_t)
@@ -136,10 +137,13 @@ def _rho_for_size(emb, target_vals, size, k, n_t, seed, dir_flag):
     rhos = np.empty(len(uniq))
     row_pos = np.arange(n)
     for i, start in enumerate(uniq):
-        lib = emb[start:start + size]
-        inside = (row_pos >= start) & (row_pos < start + size)
-        exclude = np.where(inside, row_pos - start, -1)
-        idx, dist = knn_points(PointSet(lib), emb, k, exclude_index=exclude)
+        if size == n:
+            idx, dist = graphs.read(key, emb, k, knn_all)
+        else:
+            lib = emb[start:start + size]
+            inside = (row_pos >= start) & (row_pos < start + size)
+            exclude = np.where(inside, row_pos - start, -1)
+            idx, dist = knn_points(PointSet(lib), emb, k, exclude_index=exclude)
         d1 = dist[:, :1]
         with np.errstate(invalid="ignore", divide="ignore"):
             u = np.exp(-dist / d1)
@@ -165,15 +169,15 @@ def default_library_sizes(n_rows: int, m: int, n_grid: int = 20) -> list[int]:
     return [int(s) for s in sizes]
 
 
-def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int],
-                  direction: str) -> list[float]:
+def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int], direction: str,
+                  graphs: Graphs | None = None) -> list[float]:
     """rho(library size) for one direction ("yx" cross-maps from the x
     manifold and detects Y -> X, per the cross-mapping inversion)."""
     if direction == "yx":
-        emb, target = dm.x_emb, dm.y_emb[:, -1]
+        emb, target, series = dm.x_emb, dm.y_emb[:, -1], "x"
         dir_flag = 0
     elif direction == "xy":
-        emb, target = dm.y_emb, dm.x_emb[:, -1]
+        emb, target, series = dm.y_emb, dm.x_emb[:, -1], "y"
         dir_flag = 1
     else:
         raise ValidationError(f"unknown direction {direction!r}")
@@ -182,15 +186,18 @@ def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int],
     for size in sizes:
         if not (dm.m + 2 <= size <= n):
             raise ValidationError("library sizes must lie in [m+2, n_rows]")
-    return [_rho_for_size(emb, target, size, k, p.n_t, p.seed, dir_flag)
+    graphs = Graphs() if graphs is None else graphs
+    return [_rho_for_size(emb, target, size, k, p.n_t, p.seed, dir_flag, graphs, (dm.m, series))
             for size in sizes]
 
 
-def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
+def ccm(dm: DelayMatrix, p: CcmParams = CcmParams(),
+        graphs: Graphs | None = None) -> IndexEstimate:
     """Convergent cross mapping, both directions.
 
     Only the smallest (m+2) and largest (full) library sizes enter the index;
-    use ccm_rho_curve for the whole convergence curve.
+    use ccm_rho_curve for the whole convergence curve. The full library reads
+    each series' kNN graph at m+1 through `graphs` (see `neighbors.Graphs`).
     """
     n = dm.n_rows
     if n < dm.m + 3:
@@ -200,9 +207,9 @@ def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
               "T_max": n, **asdict(p)}
 
     t0 = time.perf_counter()
-    curve_yx = ccm_rho_curve(dm, p, sizes, "yx")
+    curve_yx = ccm_rho_curve(dm, p, sizes, "yx", graphs)
     t1 = time.perf_counter()
-    curve_xy = ccm_rho_curve(dm, p, sizes, "xy")
+    curve_xy = ccm_rho_curve(dm, p, sizes, "xy", graphs)
     t2 = time.perf_counter()
 
     v_yx = converged_value(curve_yx[0], curve_yx[-1], p.delta_rho)

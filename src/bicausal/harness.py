@@ -5,7 +5,8 @@ correlation matrices, timing summaries and CSV/manifest persistence.
 the estimator call, with its preset parameters, that computes it;
 `compute_indices` runs the requested entries on one pair. si1 and si2 share
 one entry, so one `crossmap.si_pair` call yields both, and a lone request
-builds the neighbour graphs at its own R only.
+builds the neighbour graphs at its own R only. pi, si and ccm share one kNN
+graph per series and embedding dimension per call (`neighbors.Graphs`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     embed,
 )
 from .errors import BicausalError, NumericalEscapeError, ValidationError
+from .neighbors import Graphs
 from .perturb import (
     ULAM_SYNC_WINDOWS,
     PerturbationSpec,
@@ -43,26 +45,29 @@ from .perturb import (
 
 SIMULATIONS = ("lp", "ulam", "henon_uni", "henon_bi_i", "henon_bi_ni")
 
-# name -> (embedding dimension, call(data, presets, names)). The dimension is
-# a preset key or a fixed m, and the call gets that delay matrix; None gives
-# the call the pair itself. `names` are the requested indices. Each call looks
-# its estimator up on the module when it runs, never binding it at import, so
-# that wrappers placed on the module attribute (perfbench/tracing.py times
-# each layer that way) see every call. si1 and si2 share one entry, which runs
-# once per pair at the R of the requested ones only.
-_SI = ("m", lambda dm, ps, names: crossmap.si_pair(
-    dm, *(ps[n] for n in ("si1", "si2") if n in names)))
+# name -> (embedding dimension, call(data, presets, names, graphs), graph k).
+# The dimension is a preset key or a fixed m, and the call gets that delay
+# matrix; None gives the call the pair itself. `names` are the requested
+# indices. Each call looks its estimator up on the module when it runs, never
+# binding it at import, so that wrappers placed on the module attribute
+# (perfbench/tracing.py times each layer that way) see every call. si1 and si2
+# share one entry, which runs once per pair at the R of the requested ones
+# only. graph k(presets, names) is the k read from the x and y kNN graphs,
+# which come from the call's one `neighbors.Graphs`.
+_SI = ("m", lambda dm, ps, names, g: crossmap.si_pair(
+    dm, *(ps[n] for n in ("si1", "si2") if n in names), graphs=g),
+    lambda ps, names: max(ps[n].R for n in ("si1", "si2") if n in names))
 INDEX_TABLE = {
-    "egc": ("m", lambda dm, ps, _: regress.egc(dm, ps["egc"])),
-    "nlgc": ("m", lambda dm, ps, _: regress.nlgc(dm, ps["nlgc"])),
-    "pi": ("pi_m", lambda dm, ps, _: regress.pi(dm, ps["pi"])),
-    "te_hist": (1, lambda dm, ps, _: info.te_hist(dm, ps["te_hist"])),
-    "ete_hist": (1, lambda dm, ps, _: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"])),
-    "te_ksg": (1, lambda dm, ps, _: info.te_ksg(dm, ps["te_ksg"])),
-    "ctir": (None, lambda pair, ps, _: info.ctir(pair, ps["ctir"])),
+    "egc": ("m", lambda dm, ps, *_: regress.egc(dm, ps["egc"]), None),
+    "nlgc": ("m", lambda dm, ps, *_: regress.nlgc(dm, ps["nlgc"]), None),
+    "pi": ("pi_m", lambda dm, ps, _, g: regress.pi(dm, ps["pi"], g), lambda ps, _: ps["pi"].R),
+    "te_hist": (1, lambda dm, ps, *_: info.te_hist(dm, ps["te_hist"]), None),
+    "ete_hist": (1, lambda dm, ps, *_: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"]), None),
+    "te_ksg": (1, lambda dm, ps, *_: info.te_ksg(dm, ps["te_ksg"]), None),
+    "ctir": (None, lambda pair, ps, *_: info.ctir(pair, ps["ctir"]), None),
     "si1": _SI,
     "si2": _SI,
-    "ccm": ("m", lambda dm, ps, _: crossmap.ccm(dm, ps["ccm"])),
+    "ccm": ("m", lambda dm, ps, _, g: crossmap.ccm(dm, ps["ccm"], g), lambda ps, _: ps["m"] + 1),
 }
 INDEX_NAMES = tuple(INDEX_TABLE)
 
@@ -308,11 +313,17 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
             dms[m] = embed(pair, EmbeddingSpec(m=m, tau=presets["tau"], h=presets["h"]))
         return dms[m]
 
-    got = {}
-    for m, call in dict.fromkeys(INDEX_TABLE[name] for name in indices):
+    entries = dict.fromkeys(INDEX_TABLE[name] for name in indices)
+    plan = {}
+    for m, _, graph_k in entries:
+        if graph_k is not None:  # a graph reader's dimension is a preset key
+            for series in "xy":
+                plan.setdefault((presets[m], series), []).append(graph_k(presets, indices))
+    got, graphs = {}, Graphs(plan)
+    for m, call, _ in entries:
         m = presets[m] if isinstance(m, str) else m
         try:
-            result = call(pair if m is None else dm_for(m), presets, indices)
+            result = call(pair if m is None else dm_for(m), presets, indices, graphs)
         except BicausalError:
             continue
         for est in result if isinstance(result, tuple) else (result,):

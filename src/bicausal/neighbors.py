@@ -2,14 +2,16 @@
 
 All queries run one exact algorithm (`knn_points`; `knn` is one row of it
 and `knn_all` the whole set): a kd-tree pre-selects k+1 candidates per row
-(plus the excluded member), the package's own distance formula orders them,
-and rows whose cut at k is a near-tie take every point within their k-th
-candidate distance, from one ball query per block of such rows. When every
-point of the set is a candidate (k + 1 plus the excluded member reaches the
-set size, as for cross mapping's smallest libraries) no tree is built: each
-row's candidates are all the points. Ties in distance are always resolved
-toward the smaller point index so that every downstream estimator is
-deterministic, including on rounded/discretised data.
+(plus the excluded member), a stable argsort of the package's own distances
+orders them (rows holding an exact equal pair by (distance, index)), and rows
+whose cut at k is a near-tie take every point within their k-th candidate
+distance, from one ball query per block of such rows. When every point of the
+set is a candidate (as for cross mapping's smallest libraries) no tree is
+built, and the candidates come in index order, so the stable argsort alone is
+exact. Ties in distance always go to the smaller point index, so every row is
+in exact (distance, index) order, also on rounded data, and the first j
+columns of a graph at k > j are the j-graph: `Graphs` shares one graph per
+series between estimators on that prefix property.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
     exclude_index[i] >= 0 removes that member index from query i's candidates
     (use it for self-exclusion when the queries live in the set). Returns
     (indices, distances) of shape (n_queries, k), each row in exact
-    (distance, index) order.
+    (distance, index) order: a stable argsort, with rows that hold an exact
+    equal pair lexsorted.
     """
     p = metric_p(metric)
     if k < 1:
@@ -149,22 +152,25 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
 
     kq = min(k + max_excluded + 1, pset.n)
     if kq == pset.n:
-        # every point is a candidate: the (distance, index) sort below orders
-        # them exactly, so the tree has nothing to pre-select
-        idx = np.broadcast_to(np.arange(pset.n), (nq, pset.n))
-    else:
-        # a range keeps the result 2-D even when kq is 1
-        _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
+        # every point is a candidate, in index order, so the stable sort is
+        # the exact (distance, index) order: no tree, no gather, no re-sort
+        dist = pairwise_distance(pset.points[None] - queries[:, None, :], p)
+        dist[exclude_index[:, None] == np.arange(pset.n)] = np.inf
+        idx = np.argsort(dist, axis=-1, kind="stable")[:, :k]
+        return idx, np.take_along_axis(dist, idx, axis=-1)
+    # a range keeps the result 2-D even when kq is 1
+    _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
     # decisive distances come from the package formula, not the tree's
     dist = pairwise_distance(pset.points[idx] - queries[:, None, :], p)
     dist[idx == exclude_index[:, None]] = np.inf
-    order = np.lexsort((idx, dist), axis=-1)
+    order = np.argsort(dist, axis=-1, kind="stable")
     dist = np.take_along_axis(dist, order, axis=-1)
     idx = np.take_along_axis(idx, order, axis=-1)
+    # the tree lists equal distances in its own order, so rows holding an
+    # exact equal pair are re-sorted by (distance, index)
+    eq = np.nonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))[0]
+    idx[eq] = np.take_along_axis(idx[eq], np.lexsort((idx[eq], dist[eq]), axis=-1), axis=-1)
     out_idx, out_dist = idx[:, :k], dist[:, :k]
-    if kq == pset.n:
-        # every point is a candidate, so no row is ambiguous
-        return out_idx, out_dist
     # (near-)tie across the cut: the tree pre-selection may rank ulp-level
     # ties either way, so these rows take every point within their k-th
     # candidate distance. An excluded member the tree left out is no nearer
@@ -198,6 +204,32 @@ def knn_all(pset: PointSet, k: int, metric: str = "l2",
     """k nearest neighbours of every member point against its own set."""
     exclude = np.arange(pset.n) if exclude_self else None
     return knn_points(pset, pset.points, k, metric, exclude)
+
+
+class Graphs:
+    """Self-excluded kNN graphs shared by one caller's estimators.
+
+    `plan` maps a key (embedding dimension, series) to the k of each read to
+    come. The first read builds the graph at the largest of them (at most
+    n - 1), each read takes its first k columns (the prefix property), and the
+    last one drops it. A key outside the plan is built at the k read.
+    """
+
+    def __init__(self, plan: dict | None = None):
+        self._plan, self._built = {key: list(ks) for key, ks in (plan or {}).items()}, {}
+
+    def read(self, key, points: np.ndarray, k: int, build) -> tuple[np.ndarray, np.ndarray]:
+        """The k-NN graph (indices, distances) of `points`; `build` is the
+        caller's `knn_all`."""
+        ks = self._plan.get(key, [k])
+        if key not in self._built:
+            self._built[key] = build(PointSet(points), max(k, min(max(ks), len(points) - 1)))
+        idx, dist = self._built[key]
+        ks.pop()
+        if not ks:
+            self._plan.pop(key, None)
+            del self._built[key]
+        return idx[:, :k], dist[:, :k]
 
 
 def seeded_jitter(points: np.ndarray, scale: float, seed) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, _sum_sq, knn_all
+from .neighbors import Graphs, PointSet, _sum_sq, knn_all
 
 # relative floor below which a local self-fit counts as deterministic
 _EPS_FLOOR = 1e-13
@@ -226,9 +226,11 @@ def nlgc(dm: DelayMatrix, p: NlgcParams = NlgcParams()) -> IndexEstimate:
                          elapsed / 2, elapsed / 2, params, status)
 
 
-def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
+def pi(dm: DelayMatrix, p: PiParams = PiParams(),
+       graphs: Graphs | None = None) -> IndexEstimate:
     """Predictability improvement: MSE(own-space k-NN predictor) minus
-    MSE(joint-space k-NN predictor) for the horizon value."""
+    MSE(joint-space k-NN predictor) for the horizon value; the kNN graphs are
+    read through `graphs` (see `neighbors.Graphs`)."""
     n = dm.n_rows
     if n <= p.R + 1:
         raise InsufficientPointsError("need more rows than neighbours")
@@ -243,10 +245,11 @@ def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
         pred = future[neighbor_idx].mean(axis=1)
         return float(((future - pred) ** 2).mean())
 
-    idx_z, _ = knn_all(PointSet(dm.z_emb), p.R)
-    idx_x, _ = knn_all(PointSet(dm.x_emb), p.R)
+    graphs = Graphs() if graphs is None else graphs
+    idx_z, _ = graphs.read((dm.m, "z"), dm.z_emb, p.R, knn_all)
+    idx_x, _ = graphs.read((dm.m, "x"), dm.x_emb, p.R, knn_all)
     v_yx = mse(idx_x, dm.x_future) - mse(idx_z, dm.x_future)
-    idx_y, _ = knn_all(PointSet(dm.y_emb), p.R)
+    idx_y, _ = graphs.read((dm.m, "y"), dm.y_emb, p.R, knn_all)
     v_xy = mse(idx_y, dm.y_future) - mse(idx_z, dm.y_future)
     elapsed = time.perf_counter() - t0
 

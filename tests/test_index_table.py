@@ -1,6 +1,8 @@
 """The index table of `harness.compute_indices` against direct estimator calls,
-and the one-graph, two-radius `crossmap.si_pair` against single-radius calls."""
+the one-graph, two-radius `crossmap.si_pair` against single-radius calls, and
+the kNN graphs one `compute_indices` call shares between pi, si and ccm."""
 
+import gc
 import math
 from collections import Counter
 
@@ -151,3 +153,80 @@ def test_each_estimator_called_once_per_unit_through_its_module(monkeypatch):
             assert_same(est, both[est.index])
             assert est.params == both[est.index].params
         assert ks == [k, k]
+
+
+def recorded_graph_builds(monkeypatch, *dms):
+    """Record every kNN graph build through the `knn_all` names of `regress`
+    and `crossmap`, as (module, series and embedding dimension, k), and the
+    library size of every `crossmap.knn_points` call."""
+    builds, library_sizes = [], []
+    embeddings = {f"{name}{dm.m}": getattr(dm, f"{name}_emb")
+                  for dm in dms for name in "xyz"}
+
+    def series(points):
+        return next(name for name, emb in embeddings.items()
+                    if emb.shape == points.shape and (emb == points).all())
+
+    for module in (regress, crossmap):
+        def build(pset, k, *args, _fn=module.knn_all, _module=module.__name__, **kwargs):
+            builds.append((_module.rsplit(".", 1)[1], series(pset.points), k))
+            return _fn(pset, k, *args, **kwargs)
+        monkeypatch.setattr(module, "knn_all", build)
+
+    def points(pset, queries, *args, _fn=crossmap.knn_points, **kwargs):
+        library_sizes.append(pset.n)
+        return _fn(pset, queries, *args, **kwargs)
+    monkeypatch.setattr(crossmap, "knn_points", points)
+    return builds, library_sizes
+
+
+def test_one_graph_per_series_on_ulam(monkeypatch):
+    pair = harness.simulate_pair("ulam", (0.4, 0.0), 1000, seed=0)
+    builds, library_sizes = recorded_graph_builds(monkeypatch, embed(pair, EmbeddingSpec(m=1)))
+    harness.compute_indices(pair, "ulam", 1000)
+    # pi reads first, so it builds x and y at si's R = 20 for itself (R 1),
+    # si and ccm's full library (m+1 = 2); its joint graph is its own
+    assert builds == [("regress", "z1", 1), ("regress", "x1", 20), ("regress", "y1", 20)]
+    # ccm's knn_points calls are its smallest libraries (m+2 points) only
+    assert set(library_sizes) == {3}
+
+    builds.clear()
+    harness.compute_indices(pair, "ulam", 1000, ("ccm", "si1"))
+    assert builds == [("crossmap", "x1", 20), ("crossmap", "y1", 20)]
+
+
+def test_si_and_ccm_share_one_graph_per_series_on_lp(monkeypatch):
+    pair = harness.simulate_pair("lp", (0.0, 0.3), 2000, seed=0)
+    builds, library_sizes = recorded_graph_builds(
+        monkeypatch, embed(pair, EmbeddingSpec(m=1)), embed(pair, EmbeddingSpec(m=2)))
+    harness.compute_indices(pair, "lp", 2000)
+    # pi reads its own 1-D graphs at R = 10; si (R 10 and 30) and ccm
+    # (m+1 = 3) share the 2-D pair at 30
+    assert builds == [("regress", "z1", 10), ("regress", "x1", 10), ("regress", "y1", 10),
+                      ("crossmap", "x2", 30), ("crossmap", "y2", 30)]
+    assert set(library_sizes) == {4}
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+@pytest.mark.parametrize("simulation,T,point", [
+    ("lp", 2000, (0.0, 0.3)),
+    ("ulam", 1000, (0.4, 0.0)),
+    ("henon_bi_i", 2000, (0.1, 0.05)),
+])
+def test_compute_indices_leaves_no_reference_cycle(simulation, T, point, decimals):
+    # the shared graphs are released by reference counting, not by the
+    # cycle collector
+    pair = harness.simulate_pair(simulation, point, T, seed=0)
+    if decimals is not None:
+        pair = apply_perturbation(pair, PerturbationSpec(kind="round", decimals=decimals))
+    gc.collect()
+    gc.disable()
+    try:
+        estimates = harness.compute_indices(pair, simulation, T)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # each graph's build time stays with the estimate that read it first
+    for est in estimates:
+        if est.index in ("pi", "si1", "si2", "ccm"):
+            assert est.elapsed_xy + est.elapsed_yx > 0.0

@@ -247,6 +247,95 @@ def test_knn_points_equals_per_row_resolution_on_rounded_embeddings(simulation, 
             assert np.array_equal(got[1], want[1])
 
 
+def lexsort_knn_points(pset, queries, k, metric, exclude_index):
+    """The full-lexsort ordering `knn_points` had before its stable argsort:
+    the same candidates, every row ordered by `lexsort((idx, dist))`, and
+    rows tied across the cut resolved per row."""
+    p = metric_p(metric)
+    nq = len(queries)
+    exclude_index = np.full(nq, -1) if exclude_index is None else np.asarray(exclude_index)
+    kq = min(k + int((exclude_index >= 0).any()) + 1, pset.n)
+    if kq == pset.n:
+        idx = np.broadcast_to(np.arange(pset.n), (nq, pset.n))
+    else:
+        _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
+    dist = pairwise_distance(pset.points[idx] - queries[:, None, :], p)
+    dist[idx == exclude_index[:, None]] = np.inf
+    order = np.lexsort((idx, dist), axis=-1)
+    dist = np.take_along_axis(dist, order, axis=-1)
+    idx = np.take_along_axis(idx, order, axis=-1)
+    out_idx, out_dist = idx[:, :k].copy(), dist[:, :k].copy()
+    if kq < pset.n:
+        tie = np.nonzero(dist[:, k] - dist[:, k - 1] <= 1e-9 * dist[:, k])[0]
+        if len(tie):
+            out_idx[tie], out_dist[tie] = exact_neighbors_per_row(
+                pset, queries[tie], k, metric, exclude_index[tie])
+    return out_idx, out_dist
+
+
+def ordering_cases():
+    """(points, queries, k, exclude) sets: random, rounded, hand-built exact
+    ties and cross mapping's every-point-a-candidate libraries."""
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 3):
+        pts = rng.normal(size=(400, dim))
+        for decimals in (None, 1, 0):
+            rounded = pts if decimals is None else np.round(pts, decimals)
+            n = len(rounded)
+            for exclude in (np.arange(n), np.where(rng.random(n) < 0.5, np.arange(n), -1),
+                            None):
+                for k in (1, 3, 10):
+                    yield rounded, rounded, k, exclude
+    # exact ties inside the first k with none across the cut: a query at the
+    # centre of a symmetric set, whose mirror points are equally far
+    grid = np.array([[x, y] for x in range(-3, 4) for y in range(-3, 4)], dtype=float)
+    for perm_seed in range(5):
+        pts = grid[np.random.default_rng(perm_seed).permutation(len(grid))]
+        yield pts, np.zeros((1, 2)), 5, None  # 4 at distance 1, then 4 at sqrt 2
+        yield pts, pts, 4, np.arange(len(pts))
+    # the m+2 and m+4 point libraries of CCM's smallest library size
+    for m in (1, 2, 3):
+        queries = np.round(rng.normal(size=(300, m)), 1)
+        rows = np.arange(300)
+        for n_lib in (m + 2, m + 4):
+            lib = queries[100:100 + n_lib]
+            inside = (rows >= 100) & (rows < 100 + n_lib)
+            yield lib, queries, m + 1, np.where(inside, rows - 100, -1)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_knn_points_matches_full_lexsort_ordering(metric):
+    # the stable argsort re-sorts only rows with an exact equal pair (and no
+    # row when every point is a candidate); outputs must equal a full
+    # (distance, index) lexsort of every row
+    for pts, queries, k, exclude in ordering_cases():
+        pset = PointSet(pts)
+        got = knn_points(pset, queries, k, metric, exclude)
+        want = lexsort_knn_points(pset, queries, k, metric, exclude)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 0])
+@pytest.mark.parametrize("simulation,T,point", [
+    ("ulam", 1000, (0.4, 0.0)),
+    ("lp", 2000, (0.0, 0.3)),
+])
+def test_knn_all_prefix_is_smaller_graph(simulation, T, point, decimals):
+    # pi, si and ccm read prefixes of one graph per series: the first j
+    # columns of the 30-graph must be the j-graph, indices and distances
+    pair = harness.simulate_pair(simulation, point, T, seed=0)
+    m = harness.index_presets(simulation, T)["m"]
+    dm = embed(pair, EmbeddingSpec(m=m))
+    for emb in (dm.x_emb, dm.y_emb, dm.z_emb):
+        pset = PointSet(emb if decimals is None else np.round(emb, decimals))
+        idx, dist = knn_all(pset, 30)
+        for j in sorted({1, 2, m + 1, 10, 20}):
+            want_idx, want_dist = knn_all(pset, j)
+            assert np.array_equal(idx[:, :j], want_idx)
+            assert np.array_equal(dist[:, :j], want_dist)
+
+
 def strict_count(points, qi, radius):
     """The KSG counter's number of other points strictly within `radius`
     (max-norm) of point qi."""
