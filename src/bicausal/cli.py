@@ -44,14 +44,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """start:stop:step, stop inclusive."""
+    """start:stop:step, stop inclusive when the step divides the range; no
+    point lies past stop."""
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise ValidationError(f"bad grid {text!r}; expected start:stop:step")
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValidationError(f"bad grid {text!r}")
-    n = int(round((stop - start) / step))
+    # the relative slack keeps stop where the quotient rounds just below an
+    # integer (0.3 / 0.1 = 2.9999999999999996)
+    n = math.floor((stop - start) / step * (1 + 1e-9))
     return [round(start + i * step, 12) for i in range(n + 1)]
 
 

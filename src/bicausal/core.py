@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSeriesError, InsufficientDataError, ValidationError
+from .neighbors import PointSet
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -101,6 +102,11 @@ class DelayMatrix:
     Row i describes time index t[i]: x_emb[i] = (x_{t-(m-1)tau}, ..., x_t),
     likewise for y, and the future values x_{t+h}, y_{t+h}. Only rows whose
     every component is present survive. One matrix serves both directions.
+
+    The matrix also keeps the kNN graphs read through `knn_graph`, one per
+    embedding, for its whole lifetime (as `PointSet` keeps its kd-tree), so
+    pi, si and ccm called on one matrix share them. A caller that holds on to
+    a matrix holds on to its graphs.
     """
 
     t: np.ndarray = field(repr=False)
@@ -110,6 +116,7 @@ class DelayMatrix:
     y_future: np.ndarray = field(repr=False)
     source: SeriesPair = field(repr=False)
     spec: EmbeddingSpec = None
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -123,6 +130,23 @@ class DelayMatrix:
     def z_emb(self) -> np.ndarray:
         """Joint-space embedding (x columns then y columns)."""
         return np.hstack([self.x_emb, self.y_emb])
+
+    def knn_graph(self, series: str, k: int, build) -> tuple[np.ndarray, np.ndarray]:
+        """The first k columns (indices, distances) of the self-excluded kNN
+        graph of the "x", "y" or "z" embedding.
+
+        `build(pset, k)` is the caller's `knn_all`. It makes the graph on the
+        first read and again only when a later read wants more columns; a
+        smaller read slices the kept graph, whose rows are in exact (distance,
+        index) order, so its first k columns are the k-graph.
+        """
+        if series not in ("x", "y", "z"):
+            raise ValidationError(f"unknown embedding {series!r}")
+        graph = self._graphs.get(series)
+        if graph is None or graph[0].shape[1] < k:
+            graph = self._graphs[series] = build(PointSet(getattr(self, f"{series}_emb")), k)
+        idx, dist = graph
+        return idx[:, :k], dist[:, :k]
 
 
 def embed(pair: SeriesPair, spec: EmbeddingSpec) -> DelayMatrix:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import Graphs, PointSet, _sum_sq, knn_all, knn_points
+from .neighbors import PointSet, _sum_sq, knn_all, knn_points
 
 _SQDIST_FLOOR = float(np.finfo(float).eps)
 
@@ -51,8 +51,8 @@ def _mean_sq_dist_to_all(emb: np.ndarray) -> np.ndarray:
     return total / (n - 1)
 
 
-def si_pair(dm: DelayMatrix, p: SiParams = SiParams(), p2: SiParams | None = None,
-            graphs: Graphs | None = None) -> tuple[IndexEstimate, IndexEstimate]:
+def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
+            p2: SiParams | None = None) -> tuple[IndexEstimate, IndexEstimate]:
     """Both similarity indices at once: si1 with p.R neighbours, si2 with
     p2.R (default p.R).
 
@@ -64,9 +64,9 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(), p2: SiParams | None = Non
         si2 = mean log( r^R(t) / r^R(t | other) )
 
     Squared euclidean distances throughout; identical series give si2 = 0.
-    One kNN graph per series at the larger R (read through `graphs`, see
-    `neighbors.Graphs`) serves both indices: its first R columns are the R-NN
-    graph. When only the larger R does not fit the rows, that index is
+    One kNN graph per series at the larger R (the matrix's own, see
+    `DelayMatrix.knn_graph`) serves both indices: its first R columns are the
+    R-NN graph. When only the larger R does not fit the rows, that index is
     degenerate with NaN values.
 
     At independence r^R(t | other) is a distance to effectively random
@@ -81,9 +81,8 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(), p2: SiParams | None = Non
     fitting = sorted({q.R for q in (p, p2) if n > q.R + 1})
 
     t0 = time.perf_counter()
-    graphs = Graphs() if graphs is None else graphs
-    idx_x, _ = graphs.read((dm.m, "x"), dm.x_emb, fitting[-1], knn_all)
-    idx_y, _ = graphs.read((dm.m, "y"), dm.y_emb, fitting[-1], knn_all)
+    idx_x, _ = dm.knn_graph("x", fitting[-1], knn_all)
+    idx_y, _ = dm.knn_graph("y", fitting[-1], knn_all)
 
     def direction(emb, own_idx, mapped_idx, R):
         # mean squared distance to a set of neighbour indices, in emb's space
@@ -127,9 +126,11 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
 
 
-def _rho_for_size(emb, target_vals, size, k, n_t, seed, dir_flag, graphs, key):
+def _rho_for_size(dm, series, target_vals, size, k, n_t, seed, dir_flag):
     """Mean cross-map correlation over n_t seeded random contiguous library
-    segments of the given size; the full library is emb's graph `key`."""
+    segments of the given size from the `series` embedding of dm; the full
+    library is that embedding's kNN graph."""
+    emb = getattr(dm, f"{series}_emb")
     n = emb.shape[0]
     rng = np.random.default_rng([seed, dir_flag, size])
     starts = rng.integers(0, n - size + 1, size=n_t)
@@ -138,7 +139,7 @@ def _rho_for_size(emb, target_vals, size, k, n_t, seed, dir_flag, graphs, key):
     row_pos = np.arange(n)
     for i, start in enumerate(uniq):
         if size == n:
-            idx, dist = graphs.read(key, emb, k, knn_all)
+            idx, dist = dm.knn_graph(series, k, knn_all)
         else:
             lib = emb[start:start + size]
             inside = (row_pos >= start) & (row_pos < start + size)
@@ -169,16 +170,14 @@ def default_library_sizes(n_rows: int, m: int, n_grid: int = 20) -> list[int]:
     return [int(s) for s in sizes]
 
 
-def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int], direction: str,
-                  graphs: Graphs | None = None) -> list[float]:
+def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int],
+                  direction: str) -> list[float]:
     """rho(library size) for one direction ("yx" cross-maps from the x
     manifold and detects Y -> X, per the cross-mapping inversion)."""
     if direction == "yx":
-        emb, target, series = dm.x_emb, dm.y_emb[:, -1], "x"
-        dir_flag = 0
+        target, series, dir_flag = dm.y_emb[:, -1], "x", 0
     elif direction == "xy":
-        emb, target, series = dm.y_emb, dm.x_emb[:, -1], "y"
-        dir_flag = 1
+        target, series, dir_flag = dm.x_emb[:, -1], "y", 1
     else:
         raise ValidationError(f"unknown direction {direction!r}")
     n = dm.n_rows
@@ -186,18 +185,16 @@ def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int], direction: st
     for size in sizes:
         if not (dm.m + 2 <= size <= n):
             raise ValidationError("library sizes must lie in [m+2, n_rows]")
-    graphs = Graphs() if graphs is None else graphs
-    return [_rho_for_size(emb, target, size, k, p.n_t, p.seed, dir_flag, graphs, (dm.m, series))
+    return [_rho_for_size(dm, series, target, size, k, p.n_t, p.seed, dir_flag)
             for size in sizes]
 
 
-def ccm(dm: DelayMatrix, p: CcmParams = CcmParams(),
-        graphs: Graphs | None = None) -> IndexEstimate:
+def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
     """Convergent cross mapping, both directions.
 
     Only the smallest (m+2) and largest (full) library sizes enter the index;
     use ccm_rho_curve for the whole convergence curve. The full library reads
-    each series' kNN graph at m+1 through `graphs` (see `neighbors.Graphs`).
+    the first m+1 columns of each series' kNN graph (`DelayMatrix.knn_graph`).
     """
     n = dm.n_rows
     if n < dm.m + 3:
@@ -207,9 +204,9 @@ def ccm(dm: DelayMatrix, p: CcmParams = CcmParams(),
               "T_max": n, **asdict(p)}
 
     t0 = time.perf_counter()
-    curve_yx = ccm_rho_curve(dm, p, sizes, "yx", graphs)
+    curve_yx = ccm_rho_curve(dm, p, sizes, "yx")
     t1 = time.perf_counter()
-    curve_xy = ccm_rho_curve(dm, p, sizes, "xy", graphs)
+    curve_xy = ccm_rho_curve(dm, p, sizes, "xy")
     t2 = time.perf_counter()
 
     v_yx = converged_value(curve_yx[0], curve_yx[-1], p.delta_rho)

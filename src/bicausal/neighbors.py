@@ -10,8 +10,8 @@ set is a candidate (as for cross mapping's smallest libraries) no tree is
 built, and the candidates come in index order, so the stable argsort alone is
 exact. Ties in distance always go to the smaller point index, so every row is
 in exact (distance, index) order, also on rounded data, and the first j
-columns of a graph at k > j are the j-graph: `Graphs` shares one graph per
-series between estimators on that prefix property.
+columns of a graph at k > j are the j-graph: `core.DelayMatrix.knn_graph`
+shares one graph per embedding between estimators on that prefix property.
 """
 
 from __future__ import annotations
@@ -192,10 +192,11 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
         keep = cand != exclude_index[rows[slot]]
         cand, slot = cand[keep], slot[keep]
         d = pairwise_distance(pset.points[cand] - queries[rows[slot]], p)
-        bounds = np.searchsorted(slot, np.arange(len(rows) + 1))
-        for i, lo, hi in zip(rows, bounds[:-1], bounds[1:]):
-            chosen = lo + np.argsort(d[lo:hi], kind="stable")[:k]  # ties by index
-            out_idx[i], out_dist[i] = cand[chosen], d[chosen]
+        # by row, then distance; lexsort is stable, so equal distances keep
+        # the index order. Each row has at least k candidates.
+        order = np.lexsort((d, slot))
+        chosen = order[np.searchsorted(slot, np.arange(len(rows)))[:, None] + np.arange(k)]
+        out_idx[rows], out_dist[rows] = cand[chosen], d[chosen]
     return out_idx, out_dist
 
 
@@ -204,32 +205,6 @@ def knn_all(pset: PointSet, k: int, metric: str = "l2",
     """k nearest neighbours of every member point against its own set."""
     exclude = np.arange(pset.n) if exclude_self else None
     return knn_points(pset, pset.points, k, metric, exclude)
-
-
-class Graphs:
-    """Self-excluded kNN graphs shared by one caller's estimators.
-
-    `plan` maps a key (embedding dimension, series) to the k of each read to
-    come. The first read builds the graph at the largest of them (at most
-    n - 1), each read takes its first k columns (the prefix property), and the
-    last one drops it. A key outside the plan is built at the k read.
-    """
-
-    def __init__(self, plan: dict | None = None):
-        self._plan, self._built = {key: list(ks) for key, ks in (plan or {}).items()}, {}
-
-    def read(self, key, points: np.ndarray, k: int, build) -> tuple[np.ndarray, np.ndarray]:
-        """The k-NN graph (indices, distances) of `points`; `build` is the
-        caller's `knn_all`."""
-        ks = self._plan.get(key, [k])
-        if key not in self._built:
-            self._built[key] = build(PointSet(points), max(k, min(max(ks), len(points) - 1)))
-        idx, dist = self._built[key]
-        ks.pop()
-        if not ks:
-            self._plan.pop(key, None)
-            del self._built[key]
-        return idx[:, :k], dist[:, :k]
 
 
 def seeded_jitter(points: np.ndarray, scale: float, seed) -> np.ndarray:

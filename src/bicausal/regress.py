@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import Graphs, PointSet, _sum_sq, knn_all
+from .neighbors import PointSet, _sum_sq, knn_all
 
 # relative floor below which a local self-fit counts as deterministic
 _EPS_FLOOR = 1e-13
@@ -226,11 +226,10 @@ def nlgc(dm: DelayMatrix, p: NlgcParams = NlgcParams()) -> IndexEstimate:
                          elapsed / 2, elapsed / 2, params, status)
 
 
-def pi(dm: DelayMatrix, p: PiParams = PiParams(),
-       graphs: Graphs | None = None) -> IndexEstimate:
+def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
     """Predictability improvement: MSE(own-space k-NN predictor) minus
     MSE(joint-space k-NN predictor) for the horizon value; the kNN graphs are
-    read through `graphs` (see `neighbors.Graphs`)."""
+    the matrix's own (`DelayMatrix.knn_graph`)."""
     n = dm.n_rows
     if n <= p.R + 1:
         raise InsufficientPointsError("need more rows than neighbours")
@@ -245,11 +244,10 @@ def pi(dm: DelayMatrix, p: PiParams = PiParams(),
         pred = future[neighbor_idx].mean(axis=1)
         return float(((future - pred) ** 2).mean())
 
-    graphs = Graphs() if graphs is None else graphs
-    idx_z, _ = graphs.read((dm.m, "z"), dm.z_emb, p.R, knn_all)
-    idx_x, _ = graphs.read((dm.m, "x"), dm.x_emb, p.R, knn_all)
+    idx_z, _ = dm.knn_graph("z", p.R, knn_all)
+    idx_x, _ = dm.knn_graph("x", p.R, knn_all)
     v_yx = mse(idx_x, dm.x_future) - mse(idx_z, dm.x_future)
-    idx_y, _ = graphs.read((dm.m, "y"), dm.y_emb, p.R, knn_all)
+    idx_y, _ = dm.knn_graph("y", p.R, knn_all)
     v_xy = mse(idx_y, dm.y_future) - mse(idx_z, dm.y_future)
     elapsed = time.perf_counter() - t0
 

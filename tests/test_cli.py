@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bicausal.cli import main
+from bicausal.cli import _parse_grid, main
 from bicausal.harness import pair_from_csv, sweep_from_csv
 
 
@@ -30,6 +30,28 @@ def test_oracle_with_ctir(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "oracle.csv")))
     assert "ctir_yx" in rows[0]
     assert abs(float(rows[0]["ctir_yx"])) < 1e-10
+
+
+@pytest.mark.parametrize("text,want", [
+    ("0:0.5:0.3", [0.0, 0.3]),
+    ("0:0.35:0.1", [0.0, 0.1, 0.2, 0.3]),
+    ("0:1:0.1", [round(0.1 * i, 12) for i in range(11)]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),  # 0.3 / 0.1 falls just below 3
+])
+def test_grid_stops_at_stop(text, want):
+    # a step that does not divide the range ends at the last point before stop
+    assert _parse_grid(text) == want
+
+
+def test_grid_step_not_dividing_range_stays_in_range(tmp_path):
+    # λ = 1.2 would be an invalid coupling, and λ = 0.6 lies outside 0:0.5
+    assert run_cli("oracle", "--lambda", "0:1:0.6", "-o", str(tmp_path)) == 0
+    rows = list(csv.DictReader(open(tmp_path / "oracle.csv")))
+    assert [float(r["lambda"]) for r in rows] == [0.0, 0.6]
+    code = run_cli("sweep", "--preset", "ulam-1e3", "--T", "200", "--grid", "0:0.5:0.3",
+                   "--runs", "1", "--indices", "te_hist", "-o", str(tmp_path))
+    assert code == 0
+    assert sweep_from_csv(tmp_path / "sweep.csv").grid_points() == [(0.0, 0.0), (0.3, 0.0)]
 
 
 def test_simulate_roundtrip(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,9 @@ from bicausal.errors import (
     InsufficientDataError,
     ValidationError,
 )
+from bicausal.harness import simulate_pair
+from bicausal.neighbors import PointSet, knn_all
+from bicausal.perturb import PerturbationSpec, apply_perturbation
 
 
 def test_embed_basic_example():
@@ -169,3 +175,53 @@ def test_series_pair_validation():
     assert pair.y_missing.tolist() == [True, False]
     with pytest.raises(ValueError):
         pair.x[0] = 9.0  # immutable storage
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+def test_knn_graph_reads_equal_knn_all(decimals):
+    pair = simulate_pair("lp", (0.0, 0.3), 1000, seed=0)
+    if decimals is not None:
+        pair = apply_perturbation(pair, PerturbationSpec(kind="round", decimals=decimals))
+    dm = embed(pair, EmbeddingSpec(m=2))
+    for series in "xyz":
+        pset = PointSet(getattr(dm, f"{series}_emb"))
+        for k in (12, 1, 5):  # the first read builds, the smaller ones slice
+            idx, dist = dm.knn_graph(series, k, knn_all)
+            want_idx, want_dist = knn_all(pset, k)
+            assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+
+
+def test_knn_graph_builds_on_first_and_larger_reads():
+    dm = embed(simulate_pair("ulam", (0.4, 0.0), 300, seed=0), EmbeddingSpec(m=1))
+    builds = []
+
+    def build(pset, k):
+        builds.append(k)
+        return knn_all(pset, k)
+
+    assert dm._graphs == {}  # embedding builds nothing
+    for series, k in (("x", 5), ("x", 2), ("x", 5), ("y", 2), ("x", 8), ("x", 1), ("y", 2)):
+        dm.knn_graph(series, k, build)
+    assert builds == [5, 2, 8]
+    with pytest.raises(ValidationError):
+        dm.knn_graph("w", 1, build)
+
+
+def test_knn_graph_dies_with_its_matrix():
+    refs = []
+
+    def build(pset, k):
+        idx, dist = knn_all(pset, k)
+        refs.append(weakref.ref(idx))
+        return idx, dist
+
+    gc.collect()
+    gc.disable()
+    try:
+        dm = embed(simulate_pair("ulam", (0.4, 0.0), 300, seed=0), EmbeddingSpec(m=1))
+        dm.knn_graph("x", 3, build)
+        assert refs[0]() is not None
+        del dm
+        assert refs[0]() is None
+    finally:
+        gc.enable()

@@ -4,6 +4,7 @@ the kNN graphs one `compute_indices` call shares between pi, si and ccm."""
 
 import gc
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -184,9 +185,9 @@ def test_one_graph_per_series_on_ulam(monkeypatch):
     pair = harness.simulate_pair("ulam", (0.4, 0.0), 1000, seed=0)
     builds, library_sizes = recorded_graph_builds(monkeypatch, embed(pair, EmbeddingSpec(m=1)))
     harness.compute_indices(pair, "ulam", 1000)
-    # pi reads first, so it builds x and y at si's R = 20 for itself (R 1),
-    # si and ccm's full library (m+1 = 2); its joint graph is its own
-    assert builds == [("regress", "z1", 1), ("regress", "x1", 20), ("regress", "y1", 20)]
+    # si reads most (R = 20), so it builds x and y for itself, ccm's full
+    # library (m+1 = 2) and pi (R 1); pi's joint graph is its own
+    assert builds == [("crossmap", "x1", 20), ("crossmap", "y1", 20), ("regress", "z1", 1)]
     # ccm's knn_points calls are its smallest libraries (m+2 points) only
     assert set(library_sizes) == {3}
 
@@ -200,11 +201,30 @@ def test_si_and_ccm_share_one_graph_per_series_on_lp(monkeypatch):
     builds, library_sizes = recorded_graph_builds(
         monkeypatch, embed(pair, EmbeddingSpec(m=1)), embed(pair, EmbeddingSpec(m=2)))
     harness.compute_indices(pair, "lp", 2000)
-    # pi reads its own 1-D graphs at R = 10; si (R 10 and 30) and ccm
-    # (m+1 = 3) share the 2-D pair at 30
-    assert builds == [("regress", "z1", 10), ("regress", "x1", 10), ("regress", "y1", 10),
-                      ("crossmap", "x2", 30), ("crossmap", "y2", 30)]
+    # si (R 10 and 30) and ccm (m+1 = 3) share the 2-D pair at 30, which si
+    # builds; pi, which runs between them, reads its own 1-D graphs at R = 10
+    assert builds == [("crossmap", "x2", 30), ("crossmap", "y2", 30),
+                      ("regress", "z1", 10), ("regress", "x1", 10), ("regress", "y1", 10)]
     assert set(library_sizes) == {4}
+
+
+@pytest.mark.parametrize("names", [("pi", "si1", "ccm"), ("ccm", "si1", "pi")])
+def test_graph_build_time_goes_to_the_reader_of_the_whole_graph(monkeypatch, names):
+    delay = 0.2
+    for module in (regress, crossmap):
+        def slow(*args, _fn=module.knn_all, **kwargs):
+            time.sleep(delay)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "knn_all", slow)
+    pair = harness.simulate_pair("ulam", (0.4, 0.0), 1000, seed=0)
+    got = {est.index: est.elapsed_xy + est.elapsed_yx
+           for est in harness.compute_indices(pair, "ulam", 1000, names)}
+    # in either order si (R = 20) builds x and y, ccm (k = 2) only reads
+    # them, and pi (R = 1) reads them and builds its joint graph. si_pair
+    # splits its time four ways between si1 and si2, so si1 holds half of it.
+    assert 2 * delay <= 2 * got["si1"] < 3 * delay
+    assert got["ccm"] < delay
+    assert delay <= got["pi"] < 2 * delay
 
 
 @pytest.mark.parametrize("decimals", [None, 1])
@@ -226,7 +246,7 @@ def test_compute_indices_leaves_no_reference_cycle(simulation, T, point, decimal
         assert gc.collect() == 0
     finally:
         gc.enable()
-    # each graph's build time stays with the estimate that read it first
+    # each graph's build time stays with the estimate that builds it
     for est in estimates:
         if est.index in ("pi", "si1", "si2", "ccm"):
             assert est.elapsed_xy + est.elapsed_yx > 0.0
