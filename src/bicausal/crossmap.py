@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, _sum_sq, knn_all, knn_points
+from .neighbors import PointSet, _sum_sq, knn_all, knn_points, pairwise_distance
 
 _SQDIST_FLOOR = float(np.finfo(float).eps)
 
@@ -126,10 +126,24 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
 
 
+def _smallest_library_knn(emb, start, k):
+    """k nearest neighbours of every row of emb among the k+1 library rows
+    from `start`, each library row excluding itself: distances to every
+    library point, a stable argsort (equal distances to the smaller library
+    position) and its first k columns, as `knn_points` returns them."""
+    lib = emb[start:start + k + 1]
+    dist = pairwise_distance(lib[None] - emb[:, None, :], 2.0)
+    own = np.arange(k + 1)
+    dist[start + own, own] = np.inf
+    idx = np.argsort(dist, axis=-1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(dist, idx, axis=-1)
+
+
 def _rho_for_size(dm, series, target_vals, size, k, n_t, seed, dir_flag):
     """Mean cross-map correlation over n_t seeded random contiguous library
     segments of the given size from the `series` embedding of dm; the full
-    library is that embedding's kNN graph."""
+    library is that embedding's kNN graph, and the smallest (k+1 = m+2
+    points) ranks its own points (`_smallest_library_knn`)."""
     emb = getattr(dm, f"{series}_emb")
     n = emb.shape[0]
     rng = np.random.default_rng([seed, dir_flag, size])
@@ -140,6 +154,8 @@ def _rho_for_size(dm, series, target_vals, size, k, n_t, seed, dir_flag):
     for i, start in enumerate(uniq):
         if size == n:
             idx, dist = dm.knn_graph(series, k, knn_all)
+        elif size == k + 1:
+            idx, dist = _smallest_library_knn(emb, start, k)
         else:
             lib = emb[start:start + size]
             inside = (row_pos >= start) & (row_pos < start + size)
@@ -159,15 +175,6 @@ def converged_value(rho_start: float, rho_end: float, delta_rho: float) -> float
     """The cross-map index: rho at the largest library if convergence holds,
     else zero."""
     return float(rho_end) if (rho_end - rho_start) > delta_rho else 0.0
-
-
-def default_library_sizes(n_rows: int, m: int, n_grid: int = 20) -> list[int]:
-    """Geometric ladder of library sizes from m+2 to the full row count."""
-    lo, hi = m + 2, n_rows
-    if hi <= lo:
-        raise InsufficientPointsError("too few rows for any cross-map library")
-    sizes = np.unique(np.round(np.geomspace(lo, hi, n_grid)).astype(int))
-    return [int(s) for s in sizes]
 
 
 def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int],
@@ -194,7 +201,9 @@ def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
 
     Only the smallest (m+2) and largest (full) library sizes enter the index;
     use ccm_rho_curve for the whole convergence curve. The full library reads
-    the first m+1 columns of each series' kNN graph (`DelayMatrix.knn_graph`).
+    the first m+1 columns of each series' kNN graph (`DelayMatrix.knn_graph`),
+    and the smallest ranks its own m+2 points, so ccm makes no `knn_points`
+    call.
     """
     n = dm.n_rows
     if n < dm.m + 3:

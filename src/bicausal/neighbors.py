@@ -5,13 +5,12 @@ and `knn_all` the whole set): a kd-tree pre-selects k+1 candidates per row
 (plus the excluded member), a stable argsort of the package's own distances
 orders them (rows holding an exact equal pair by (distance, index)), and rows
 whose cut at k is a near-tie take every point within their k-th candidate
-distance, from one ball query per block of such rows. When every point of the
-set is a candidate (as for cross mapping's smallest libraries) no tree is
-built, and the candidates come in index order, so the stable argsort alone is
-exact. Ties in distance always go to the smaller point index, so every row is
-in exact (distance, index) order, also on rounded data, and the first j
-columns of a graph at k > j are the j-graph: `core.DelayMatrix.knn_graph`
-shares one graph per embedding between estimators on that prefix property.
+distance, from one ball query per block of such rows. A set no larger than
+the candidate count takes the same path: the tree returns all of it. Ties in
+distance always go to the smaller point index, so every row is in exact
+(distance, index) order, also on rounded data, and the first j columns of a
+graph at k > j are the j-graph: `core.DelayMatrix.knn_graph` shares one
+graph per embedding between estimators on that prefix property.
 """
 
 from __future__ import annotations
@@ -105,10 +104,6 @@ class PointSet:
         return self.points.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
     def tree(self) -> cKDTree:
         if self._tree is None:
             object.__setattr__(self, "_tree", cKDTree(self.points))
@@ -134,8 +129,10 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
     exclude_index[i] >= 0 removes that member index from query i's candidates
     (use it for self-exclusion when the queries live in the set). Returns
     (indices, distances) of shape (n_queries, k), each row in exact
-    (distance, index) order: a stable argsort, with rows that hold an exact
-    equal pair lexsorted.
+    (distance, index) order: the tree's k+1 candidates (plus the excluded
+    member, at most the whole set) in a stable argsort, with rows that hold
+    an exact equal pair lexsorted, and rows tied across the cut at k settled
+    by a ball query.
     """
     p = metric_p(metric)
     if k < 1:
@@ -151,13 +148,6 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
         raise InsufficientPointsError(f"asked for {k} neighbours of {pset.n} points")
 
     kq = min(k + max_excluded + 1, pset.n)
-    if kq == pset.n:
-        # every point is a candidate, in index order, so the stable sort is
-        # the exact (distance, index) order: no tree, no gather, no re-sort
-        dist = pairwise_distance(pset.points[None] - queries[:, None, :], p)
-        dist[exclude_index[:, None] == np.arange(pset.n)] = np.inf
-        idx = np.argsort(dist, axis=-1, kind="stable")[:, :k]
-        return idx, np.take_along_axis(dist, idx, axis=-1)
     # a range keeps the result 2-D even when kq is 1
     _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
     # decisive distances come from the package formula, not the tree's
@@ -174,8 +164,11 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
     # (near-)tie across the cut: the tree pre-selection may rank ulp-level
     # ties either way, so these rows take every point within their k-th
     # candidate distance. An excluded member the tree left out is no nearer
-    # than any retrieved point, so it cannot be among the k.
-    tie = np.nonzero(dist[:, k] - dist[:, k - 1] <= _TIE_RTOL * dist[:, k])[0]
+    # than any retrieved point, so it cannot be among the k. A row with no
+    # candidate beyond the cut (kq == k: every point retrieved, none
+    # excluded) cannot tie.
+    tie = (np.nonzero(dist[:, k] - dist[:, k - 1] <= _TIE_RTOL * dist[:, k])[0]
+           if kq > k else [])
     for start in range(0, len(tie), _TIE_BLOCK):
         rows = tie[start:start + _TIE_BLOCK]
         radius = dist[rows, k - 1]

@@ -93,12 +93,9 @@ def ols_fit(design: np.ndarray, target: np.ndarray) -> OlsResult:
 def kmeans(points, P: int, seed=0, max_iter: int = 100) -> np.ndarray:
     """Seeded k-means: D^2-weighted init, Lloyd iterations until assignments
     are stable; empty clusters are re-seeded at the farthest point."""
-    if isinstance(points, PointSet):
-        pts = points.points
-    else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
     n = pts.shape[0]
     if P > len(np.unique(pts, axis=0)):
         raise InsufficientPointsError("P exceeds the number of distinct points")
@@ -135,8 +132,8 @@ def kmeans(points, P: int, seed=0, max_iter: int = 100) -> np.ndarray:
 
 
 def _local_index(rows, self_design, joint_design, target):
-    """1 - eps_joint/eps_self on one neighbourhood; None when the self fit is
-    already (numerically) deterministic."""
+    """1 - eps_joint/eps_self on the given rows (a neighbourhood, or all of
+    them); None when the self fit is already (numerically) deterministic."""
     eps_self = ols_fit(self_design[rows], target[rows]).residual_variance
     if eps_self <= _EPS_FLOOR * max(float(target[rows].var()), 1e-30):
         return None
@@ -205,18 +202,12 @@ def nlgc(dm: DelayMatrix, p: NlgcParams = NlgcParams()) -> IndexEstimate:
     t0 = time.perf_counter()
     feats_x = _rbf_features(dm.x_emb, kmeans(dm.x_emb, p.P, seed=[p.seed, 0]), p.var)
     feats_y = _rbf_features(dm.y_emb, kmeans(dm.y_emb, p.P, seed=[p.seed, 1]), p.var)
-    ones = np.ones((dm.n_rows, 1))
-
-    def reduction(self_feats, other_feats, target):
-        eps_self = ols_fit(np.hstack([ones, self_feats]), target).residual_variance
-        if eps_self <= _EPS_FLOOR * max(float(target.var()), 1e-30):
-            return None
-        eps_joint = ols_fit(np.hstack([ones, self_feats, other_feats]),
-                            target).residual_variance
-        return float(np.clip(1.0 - eps_joint / eps_self, 0.0, 1.0))
-
-    v_yx = reduction(feats_x, feats_y, dm.x_future)
-    v_xy = reduction(feats_y, feats_x, dm.y_future)
+    # egc's formula on every row; own kernels before the other's, the column
+    # order lstsq's rounding depends on
+    design_x = np.hstack([np.ones((dm.n_rows, 1)), feats_x])
+    design_y = np.hstack([np.ones((dm.n_rows, 1)), feats_y])
+    v_yx = _local_index(slice(None), design_x, np.hstack([design_x, feats_y]), dm.x_future)
+    v_xy = _local_index(slice(None), design_y, np.hstack([design_y, feats_x]), dm.y_future)
     elapsed = time.perf_counter() - t0
 
     status = STATUS_OK if (v_yx is not None and v_xy is not None) else STATUS_DEGENERATE

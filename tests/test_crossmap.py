@@ -15,8 +15,10 @@ from bicausal import (
     sim_lp,
 )
 from bicausal.core import STATUS_DEGENERATE
-from bicausal.crossmap import converged_value, default_library_sizes
+from bicausal import crossmap
+from bicausal.crossmap import _smallest_library_knn, converged_value
 from bicausal.errors import InsufficientPointsError, ValidationError
+from bicausal.neighbors import PointSet, knn_points
 from bicausal import si_pair
 
 
@@ -132,6 +134,12 @@ def test_ccm_deterministic():
     assert a.value_yx == b.value_yx and a.value_xy == b.value_xy
 
 
+def default_library_sizes(n_rows, m, n_grid=20):
+    """Geometric ladder of library sizes from m+2 to the full row count."""
+    sizes = np.unique(np.round(np.geomspace(m + 2, n_rows, n_grid)).astype(int))
+    return [int(s) for s in sizes]
+
+
 def test_ccm_rho_curve_bounded():
     base = chaotic_pair(400, seed=6)
     dm = embed(SeriesPair(base.x, base.y), EmbeddingSpec(m=2))
@@ -159,3 +167,40 @@ def test_ccm_validation():
         ccm_rho_curve(dm, CcmParams(), [2], "yx")
     with pytest.raises(ValidationError):
         ccm_rho_curve(dm, CcmParams(), [10], "sideways")
+
+
+def test_ccm_makes_no_knn_points_call(monkeypatch):
+    # the full library reads the matrix's kNN graph and the smallest ranks
+    # its own m+2 points; only other ladder sizes query a library set
+    calls = []
+
+    def points(*args, _fn=crossmap.knn_points, **kwargs):
+        calls.append(len(args[0].points))
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(crossmap, "knn_points", points)
+    base = chaotic_pair(300, seed=9)
+    dm = embed(SeriesPair(base.x, base.y), EmbeddingSpec(m=2))
+    ccm(dm)
+    assert calls == []
+    ccm_rho_curve(dm, CcmParams(n_t=2), [dm.m + 2, dm.m + 3, dm.n_rows], "xy")
+    assert set(calls) == {dm.m + 3}
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_smallest_library_knn_equals_knn_points(m, decimals):
+    # every row against the m+2 points of a library at the start, middle and
+    # end of the embedding; library rows exclude themselves, the others none
+    base = chaotic_pair(400, seed=m)
+    pair = SeriesPair(base.x, base.y)
+    if decimals is not None:
+        pair = SeriesPair(np.round(base.x, decimals), np.round(base.y, decimals))
+    emb = embed(pair, EmbeddingSpec(m=m)).x_emb
+    n, k = emb.shape[0], m + 1
+    rows = np.arange(n)
+    for start in (0, n // 2, n - k - 1):
+        inside = (rows >= start) & (rows <= start + k)
+        exclude = np.where(inside, rows - start, -1)
+        want = knn_points(PointSet(emb[start:start + k + 1]), emb, k, exclude_index=exclude)
+        got = _smallest_library_knn(emb, start, k)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

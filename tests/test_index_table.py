@@ -188,8 +188,8 @@ def test_one_graph_per_series_on_ulam(monkeypatch):
     # si reads most (R = 20), so it builds x and y for itself, ccm's full
     # library (m+1 = 2) and pi (R 1); pi's joint graph is its own
     assert builds == [("crossmap", "x1", 20), ("crossmap", "y1", 20), ("regress", "z1", 1)]
-    # ccm's knn_points calls are its smallest libraries (m+2 points) only
-    assert set(library_sizes) == {3}
+    # ccm's two library sizes read the graph or rank their own m+2 points
+    assert library_sizes == []
 
     builds.clear()
     harness.compute_indices(pair, "ulam", 1000, ("ccm", "si1"))
@@ -205,7 +205,7 @@ def test_si_and_ccm_share_one_graph_per_series_on_lp(monkeypatch):
     # builds; pi, which runs between them, reads its own 1-D graphs at R = 10
     assert builds == [("crossmap", "x2", 30), ("crossmap", "y2", 30),
                       ("regress", "z1", 10), ("regress", "x1", 10), ("regress", "y1", 10)]
-    assert set(library_sizes) == {4}
+    assert library_sizes == []
 
 
 @pytest.mark.parametrize("names", [("pi", "si1", "ccm"), ("ccm", "si1", "pi")])

@@ -148,6 +148,7 @@ def test_knn_points_external_queries_with_exclusion():
 @given(seed=st.integers(0, 9999), n=st.sampled_from((1, 2, 3, 8, 64, 65, 150)),
        k=st.integers(1, 8), dim=st.integers(1, 3), decimals=st.sampled_from((None, 1, 0)),
        metric=st.sampled_from(METRICS), exclusion=st.sampled_from(("self", "partial", "none")))
+# n=1, k=1 retrieves every point with none beyond the cut: no tie test
 @example(seed=0, n=1, k=1, dim=1, decimals=None, metric="l2", exclusion="none")
 @example(seed=0, n=66, k=64, dim=2, decimals=0, metric="linf", exclusion="self")
 @example(seed=0, n=150, k=8, dim=1, decimals=0, metric="l1", exclusion="partial")
@@ -178,10 +179,10 @@ def test_knn_points_matches_scan(seed, n, k, dim, decimals, metric, exclusion):
 @pytest.mark.parametrize("size", ["m+2", "m+4"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_knn_points_ccm_smallest_library(m, size, decimals):
-    # cross mapping's smallest library: m+2 points, k = m+1, every point a
-    # candidate, 10^3 queries of which the library's own rows exclude
+    # cross mapping's library shapes: m+2 points (every point a candidate)
+    # and m+4, k = m+1, 10^3 queries of which the library's own rows exclude
     # themselves. With an excluded member the tree pre-selects k+2 = m+3
-    # candidates, so m+4 points is the smallest library that needs it
+    # candidates, so m+4 points is the smallest library where it drops some
     rng = np.random.default_rng(m)
     queries = rng.normal(size=(1000, m))
     if decimals is not None:
@@ -192,9 +193,7 @@ def test_knn_points_ccm_smallest_library(m, size, decimals):
     exclude = np.where((rows >= start) & (rows < start + n_lib), rows - start, -1)
     pset = PointSet(lib)
     idx, dist = knn_points(pset, queries, m + 1, "l2", exclude)
-    if size == "m+2":
-        assert pset._tree is None  # no tree when every point is a candidate
-    elif decimals is None:
+    if size == "m+4" and decimals is None:
         assert pset._tree is not None  # no tie rows: the tree pre-selected
     for row in range(1000):
         want = brute_knn(lib, queries[row], m + 1, "l2", exclude=int(exclude[row]))
