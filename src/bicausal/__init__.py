@@ -16,7 +16,6 @@ from .core import (
     SeriesPair,
     STATUS_DEGENERATE,
     STATUS_OK,
-    STATUS_SKIPPED_SYNCHRONY,
     directed_index,
     embed,
     standardize,

@@ -130,9 +130,10 @@ def build_parser() -> _Parser:
 
     p_sim = subs.add_parser("simulate", help="write one simulated pair as CSV")
     p_sim.add_argument("--preset", required=True, choices=sorted(PRESET_IDS))
-    p_sim.add_argument("--coupling", type=float, default=0.5)
+    p_sim.add_argument("--coupling", type=float, default=None,
+                       help="coupling (default: half the system's range)")
     p_sim.add_argument("--coupling-yx", type=float, default=None,
-                       help="second coupling (bidirectional maps)")
+                       help="lambda_yx; with it, --coupling is lambda_xy")
     p_sim.add_argument("--T", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=0)
     _add_common(p_sim)
@@ -201,10 +202,7 @@ def _grid_for(simulation: str, text: str):
         return harness.desk_grid(simulation)
     if text == "paper":
         return harness.paper_grid(simulation)
-    vals = _parse_grid(text)
-    if simulation.startswith("henon_bi"):
-        return [(a, b) for a in vals for b in vals]
-    return vals
+    return harness.coupling_grid(simulation, _parse_grid(text))
 
 
 def _outdir(args) -> str:
@@ -214,12 +212,12 @@ def _outdir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     simulation, T = PRESET_IDS[args.preset]
-    if args.T is not None:
-        T = args.T
+    T = T if args.T is None else args.T
     coupling = args.coupling
-    if simulation.startswith("henon_bi"):
-        coupling = (args.coupling, args.coupling_yx
-                    if args.coupling_yx is not None else args.coupling)
+    if coupling is None:
+        coupling = harness.SIMULATION_TABLE[simulation].hi / 2
+    if args.coupling_yx is not None:
+        coupling = (coupling, args.coupling_yx)
     point = harness.normalize_point(simulation, coupling)
     pair = harness.simulate_pair(simulation, point, T, args.seed)
     out = os.path.join(_outdir(args), f"{simulation}_series.csv")
@@ -249,8 +247,7 @@ def _cmd_indices(args) -> int:
 
 def _sweep_config(args, perturbation=None) -> harness.SweepConfig:
     simulation, T = PRESET_IDS[args.preset]
-    if args.T is not None:
-        T = args.T
+    T = T if args.T is None else args.T
     return harness.SweepConfig(
         simulation=simulation,
         couplings=tuple(_grid_for(simulation, args.grid)),

@@ -17,7 +17,6 @@ from .neighbors import PointSet
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
-STATUS_SKIPPED_SYNCHRONY = "skipped-synchrony"
 
 
 def _as_series(values, name: str) -> np.ndarray:
@@ -228,7 +227,7 @@ class IndexEstimate:
     status: str = STATUS_OK
 
     def __post_init__(self):
-        if self.status not in (STATUS_OK, STATUS_DEGENERATE, STATUS_SKIPPED_SYNCHRONY):
+        if self.status not in (STATUS_OK, STATUS_DEGENERATE):
             raise ValidationError(f"unknown status {self.status!r}")
 
     @property

@@ -1,6 +1,8 @@
-"""Sweep execution, per-simulation parameter presets, the index table,
-correlation matrices, timing summaries and CSV/manifest persistence.
+"""Sweep execution, the simulation and index tables, per-simulation parameter
+presets, correlation matrices, timing summaries and CSV/manifest persistence.
 
+`SIMULATION_TABLE` describes each simulated system; `simulate_units`, the one
+simulate path, serves `simulate_pair` and every sweep unit.
 `INDEX_TABLE` gives, for each of the ten indices, the embedding it reads and
 the estimator call, with its preset parameters, that computes it;
 `compute_indices` runs the requested entries on one pair. si1 and si2 share
@@ -19,6 +21,7 @@ import json
 import math
 import platform
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -30,21 +33,47 @@ from . import __version__, crossmap, info, regress, simulate
 from .core import (
     STATUS_DEGENERATE,
     STATUS_OK,
-    STATUS_SKIPPED_SYNCHRONY,
     EmbeddingSpec,
     IndexEstimate,
     SeriesPair,
     embed,
 )
 from .errors import BicausalError, NumericalEscapeError, ValidationError
-from .perturb import (
-    ULAM_SYNC_WINDOWS,
-    PerturbationSpec,
-    apply_perturbation,
-    point_in_windows,
-)
+from .perturb import PerturbationSpec, apply_perturbation
 
-SIMULATIONS = ("lp", "ulam", "henon_uni", "henon_bi_i", "henon_bi_ni")
+
+# name -> Simulation(hi, axes, T, params, run). Couplings lie in [0, hi]; a
+# grid value sets those named in `axes` (lambda_xy "xy", lambda_yx "yx"), the
+# other is 0. T is the default length, params(point, T, seed) the simulator's
+# parameters at a (lambda_xy, lambda_yx) point, run(params) the simulator (None
+# for ulam: its rings run as one `sim_ulam_batch`). Like INDEX_TABLE's calls,
+# the lambdas look their names up on `simulate` when they run.
+Simulation = namedtuple("Simulation", "hi axes T params run")
+
+
+def _henon_bi(**kw) -> Simulation:
+    return Simulation(0.4, ("xy", "yx"), 10**4, lambda pt, T, seed: simulate.HenonBiParams(
+        lam_xy=pt[0], lam_yx=pt[1], T=T, seed=seed, **kw), lambda p: simulate.sim_henon_bi(p))
+
+
+SIMULATION_TABLE = {
+    "lp": Simulation(1.0, ("yx",), 10**4, lambda pt, T, seed: simulate.LpParams(
+        lam=pt[1], T=T, seed=seed), lambda p: simulate.sim_lp(p)),
+    "ulam": Simulation(1.0, ("xy",), 10**3, lambda pt, T, seed: simulate.UlamParams(
+        lam=pt[0], T=T, seed=seed), None),
+    "henon_uni": Simulation(1.0, ("xy",), 10**3, lambda pt, T, seed: simulate.HenonUniParams(
+        lam=pt[0], T=T, seed=seed), lambda p: simulate.sim_henon_uni(p)),
+    "henon_bi_i": _henon_bi(),
+    "henon_bi_ni": _henon_bi(b_y=0.1),
+}
+
+
+def _entry(simulation: str) -> Simulation:
+    """The table entry of a simulation; an unknown name is a ValidationError."""
+    if simulation not in SIMULATION_TABLE:
+        raise ValidationError(f"unknown simulation {simulation!r}")
+    return SIMULATION_TABLE[simulation]
+
 
 # name -> (embedding dimension, call(data, presets, names), graph k).
 # The dimension is a preset key or a fixed m, and the call gets that delay
@@ -108,8 +137,7 @@ def index_presets(simulation: str, T: int) -> dict:
     Values follow the published benchmark configuration; T values between
     the listed sizes fall back to the nearest listed size (log scale).
     """
-    if simulation not in SIMULATIONS:
-        raise ValidationError(f"unknown simulation {simulation!r}")
+    _entry(simulation)
     lp = simulation == "lp"
     ulam = simulation == "ulam"
     henon_bi = simulation.startswith("henon_bi")
@@ -153,47 +181,38 @@ def index_presets(simulation: str, T: int) -> dict:
 # sweep configuration and records
 
 
-def _coupling_range(simulation: str) -> float:
-    return 0.4 if simulation.startswith("henon_bi") else 1.0
-
-
 def normalize_point(simulation: str, coupling) -> tuple[float, float]:
     """Map a user grid entry to the (lambda_xy, lambda_yx) pair. Accepts an
     already-normalized pair for any simulation (idempotent)."""
-    hi = _coupling_range(simulation)
+    sim = _entry(simulation)
     if isinstance(coupling, (tuple, list)):
-        lxy, lyx = (float(coupling[0]), float(coupling[1]))
-        if not simulation.startswith("henon_bi"):
-            dead_axis = lxy if simulation == "lp" else lyx
-            if dead_axis != 0.0:
-                raise ValidationError(
-                    f"{simulation} sweeps one coupling; the other must be 0")
-    elif simulation.startswith("henon_bi"):
-        lam = float(coupling)
-        lxy, lyx = lam, lam
+        point = (float(coupling[0]), float(coupling[1]))
+        if any(v != 0.0 for v, axis in zip(point, ("xy", "yx")) if axis not in sim.axes):
+            raise ValidationError(f"{simulation} sweeps one coupling; the other must be 0")
     else:
-        lam = float(coupling)
-        lxy, lyx = (0.0, lam) if simulation == "lp" else (lam, 0.0)
-    for v in (lxy, lyx):
-        if not 0.0 <= v <= hi:
-            raise ValidationError(f"coupling {v} outside [0, {hi}] for {simulation}")
-    return (lxy, lyx)
+        point = tuple(float(coupling) if axis in sim.axes else 0.0 for axis in ("xy", "yx"))
+    for v in point:
+        if not 0.0 <= v <= sim.hi:
+            raise ValidationError(f"coupling {v} outside [0, {sim.hi}] for {simulation}")
+    return point
+
+
+def coupling_grid(simulation: str, values) -> list:
+    """Grid entries for coupling values: the values themselves on a
+    one-coupling system, every (lambda_xy, lambda_yx) pair of them on one
+    with two."""
+    if len(_entry(simulation).axes) == 2:
+        return [(a, b) for a in values for b in values]
+    return list(values)
 
 
 def desk_grid(simulation: str, step: float = 0.05) -> list:
-    hi = _coupling_range(simulation)
-    vals = [round(step * i, 10) for i in range(int(round(hi / step)) + 1)]
-    if simulation.startswith("henon_bi"):
-        return [(a, b) for a in vals for b in vals]
-    return vals
+    n = int(round(_entry(simulation).hi / step))
+    return coupling_grid(simulation, [round(step * i, 10) for i in range(n + 1)])
 
 
 def paper_grid(simulation: str) -> list:
     return desk_grid(simulation, step=0.01)
-
-
-DEFAULT_T = {"lp": 10**4, "ulam": 10**3, "henon_uni": 10**3,
-             "henon_bi_i": 10**4, "henon_bi_ni": 10**4}
 
 
 @dataclass(frozen=True)
@@ -206,13 +225,11 @@ class SweepConfig:
     base_seed: int = 0
     perturbation: PerturbationSpec | None = None
     workers: int = 1
-    skip_synchrony: bool = False
 
     def __post_init__(self):
-        if self.simulation not in SIMULATIONS:
-            raise ValidationError(f"unknown simulation {self.simulation!r}")
+        sim = _entry(self.simulation)
         if self.T is None:
-            object.__setattr__(self, "T", DEFAULT_T[self.simulation])
+            object.__setattr__(self, "T", sim.T)
         couplings = self.couplings if self.couplings is not None else desk_grid(self.simulation)
         points = tuple(normalize_point(self.simulation, c) for c in couplings)
         object.__setattr__(self, "couplings", points)
@@ -277,21 +294,29 @@ class SweepResult:
 # execution
 
 
+def simulate_units(simulation: str, units, T: int) -> list:
+    """One pair per (point, seed) unit, or None where the orbit escaped.
+    Ulam rings are simulated as one batch, the other systems one by one."""
+    sim = _entry(simulation)
+    params = [sim.params(point, T, seed) for point, seed in units]
+    if simulation == "ulam":
+        return simulate.sim_ulam_batch(params)
+    pairs = []
+    for p in params:
+        try:
+            pairs.append(sim.run(p))
+        except NumericalEscapeError:
+            pairs.append(None)
+    return pairs
+
+
 def simulate_pair(simulation: str, point: tuple[float, float], T: int,
                   seed: int) -> SeriesPair:
-    if simulation == "lp":
-        return simulate.sim_lp(simulate.LpParams(lam=point[1], T=T, seed=seed))
-    if simulation == "ulam":
-        return simulate.sim_ulam(simulate.UlamParams(lam=point[0], T=T, seed=seed))
-    if simulation == "henon_uni":
-        return simulate.sim_henon_uni(simulate.HenonUniParams(lam=point[0], T=T, seed=seed))
-    if simulation == "henon_bi_i":
-        return simulate.sim_henon_bi(simulate.HenonBiParams(
-            lam_xy=point[0], lam_yx=point[1], T=T, seed=seed))
-    if simulation == "henon_bi_ni":
-        return simulate.sim_henon_bi(simulate.HenonBiParams(
-            lam_xy=point[0], lam_yx=point[1], T=T, seed=seed, b_y=0.1))
-    raise ValidationError(f"unknown simulation {simulation!r}")
+    """One simulated pair; an escaped orbit raises NumericalEscapeError."""
+    (pair,) = simulate_units(simulation, [(point, seed)], T)
+    if pair is None:
+        raise NumericalEscapeError(f"{simulation} orbit escaped at {point}, seed {seed}")
+    return pair
 
 
 def _status_estimate(name: str, status: str) -> IndexEstimate:
@@ -338,24 +363,6 @@ def _sim_length(cfg: SweepConfig) -> int:
     return spec.data_size if spec is not None and spec.kind == "data_size" else cfg.T
 
 
-def _simulate_units(cfg: SweepConfig, units: list) -> list:
-    """One pair per (point index, run) unit, or None where the simulator
-    escaped. Ulam units are simulated as one batch, the others one by one."""
-    T = _sim_length(cfg)
-    if cfg.simulation == "ulam":
-        return simulate.sim_ulam_batch([
-            simulate.UlamParams(lam=cfg.couplings[i][0], T=T, seed=cfg.base_seed + run)
-            for i, run in units])
-    pairs = []
-    for i, run in units:
-        try:
-            pairs.append(simulate_pair(cfg.simulation, cfg.couplings[i], T,
-                                       cfg.base_seed + run))
-        except NumericalEscapeError:
-            pairs.append(None)
-    return pairs
-
-
 def _unit_estimates(cfg: SweepConfig, point_index: int, run: int,
                     pair: SeriesPair | None) -> list[IndexEstimate]:
     if pair is None:
@@ -371,30 +378,23 @@ def _run_chunk(cfg: SweepConfig, units: list) -> list[Record]:
     """Records of one worker's (point index, run) units.
 
     Up to `simulate.ULAM_BATCH_RINGS` units are simulated at a time (ulam as
-    one batch; units skipped for synchrony never simulate), then their
-    indices are computed unit by unit. A unit whose simulation escaped is
-    recorded as degenerate.
+    one batch), then their indices are computed unit by unit. A unit whose
+    simulation escaped is recorded as degenerate.
     """
     records = []
     for start in range(0, len(units), simulate.ULAM_BATCH_RINGS):
         group = units[start:start + simulate.ULAM_BATCH_RINGS]
-        live = [(i, run) for i, run in group
-                if not (cfg.skip_synchrony and cfg.simulation == "ulam"
-                        and point_in_windows(cfg.couplings[i], ULAM_SYNC_WINDOWS))]
-        pairs = dict(zip(live, _simulate_units(cfg, live)))
-        for i, run in group:
-            if (i, run) in pairs:
-                estimates = _unit_estimates(cfg, i, run, pairs.pop((i, run)))
-            else:
-                estimates = [_status_estimate(name, STATUS_SKIPPED_SYNCHRONY)
-                             for name in cfg.indices]
+        pairs = simulate_units(cfg.simulation, [(cfg.couplings[i], cfg.base_seed + run)
+                                                for i, run in group], _sim_length(cfg))
+        for (i, run), pair in zip(group, pairs):
             point = cfg.couplings[i]
             records.extend(
                 Record(cfg.simulation, point[0], point[1], run, est.index, direction,
                        est.value(direction),
                        est.elapsed_xy if direction == "xy" else est.elapsed_yx,
                        est.status)
-                for est in estimates for direction in ("xy", "yx"))
+                for est in _unit_estimates(cfg, i, run, pair)
+                for direction in ("xy", "yx"))
     return records
 
 
@@ -423,7 +423,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 def status_counts(res: SweepResult) -> dict:
     """Number of records per status, zeros included."""
-    counts = dict.fromkeys((STATUS_OK, STATUS_DEGENERATE, STATUS_SKIPPED_SYNCHRONY), 0)
+    counts = dict.fromkeys((STATUS_OK, STATUS_DEGENERATE), 0)
     for rec in res.records:
         counts[rec.status] += 1
     return counts

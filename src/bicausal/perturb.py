@@ -35,6 +35,8 @@ class PerturbationSpec:
             raise ValidationError(f"unknown perturbation kind {self.kind!r}")
         if self.target not in TARGETS:
             raise ValidationError(f"unknown target {self.target!r}")
+        if not np.isfinite([self.factor, self.noise_var]).all():
+            raise ValidationError("factor and noise_var must be finite")
         if self.kind == "missing" and not 0.0 < self.fraction < 1.0:
             raise ValidationError("missing fraction must lie in (0, 1)")
         if self.kind == "round" and self.decimals < 0:

@@ -36,9 +36,13 @@ MAX_RESTARTS = 100
 ULAM_BATCH_RINGS = 32
 
 
-def _check_positive_length(T):
-    if not isinstance(T, (int, np.integer)) or T < 1:
+def _check_params(p, *finite):
+    """T must be a positive integer and the named fields finite."""
+    if not isinstance(p.T, (int, np.integer)) or p.T < 1:
         raise ValidationError("T must be a positive integer")
+    for name in finite:
+        if not math.isfinite(getattr(p, name)):
+            raise ValidationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class LpParams:
     var_y: float = 0.2
 
     def __post_init__(self):
-        _check_positive_length(self.T)
+        _check_params(self, "b_x", "b_y", "var_x", "var_y")
         if abs(self.b_x) >= 1 or abs(self.b_y) >= 1:
             raise ValidationError("|b_x| and |b_y| must be < 1 for stationarity")
         if self.var_x < 0 or self.var_y < 0:
@@ -75,7 +79,7 @@ class UlamParams:
     N_L: int = 100
 
     def __post_init__(self):
-        _check_positive_length(self.T)
+        _check_params(self)
         if self.N_L < 2:
             raise ValidationError("lattice needs at least two sites")
         if not 0.0 <= self.lam <= 1.0:
@@ -95,10 +99,7 @@ class HenonUniParams:
     init: tuple | None = None
 
     def __post_init__(self):
-        _check_positive_length(self.T)
-        for name in ("a", "b_x", "b_y", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        _check_params(self, "a", "b_x", "b_y", "lam")
         if not 0.0 <= self.lam <= 1.0:
             raise ValidationError("coupling must lie in [0, 1]")
         if self.init is not None and len(self.init) != 4:
@@ -120,7 +121,7 @@ class HenonBiParams:
     init: tuple | None = None
 
     def __post_init__(self):
-        _check_positive_length(self.T)
+        _check_params(self, "a", "b_x", "b_y")
         for name in ("lam_xy", "lam_yx"):
             v = getattr(self, name)
             if not 0.0 <= v <= 0.4:

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from bicausal.cli import _parse_grid, main
-from bicausal.harness import pair_from_csv, sweep_from_csv
+from bicausal.cli import PRESET_IDS, _parse_grid, main
+from bicausal.harness import normalize_point, pair_from_csv, simulate_pair, sweep_from_csv
 
 
 def run_cli(*argv):
@@ -63,6 +63,32 @@ def test_simulate_roundtrip(tmp_path):
     assert np.all(np.abs(pair.x) <= 2.0)
 
 
+@pytest.mark.parametrize("preset", sorted(PRESET_IDS))
+def test_simulate_default_coupling_is_half_the_range(tmp_path, preset):
+    # 0.5 on the one-coupling systems, (0.2, 0.2) on the Henon-bi maps
+    simulation, _ = PRESET_IDS[preset]
+    assert run_cli("simulate", "--preset", preset, "--T", "50", "--seed", "3",
+                   "-o", str(tmp_path)) == 0
+    got = pair_from_csv(tmp_path / f"{simulation}_series.csv")
+    point = (0.2, 0.2) if simulation.startswith("henon_bi") else \
+        normalize_point(simulation, 0.5)
+    want = simulate_pair(simulation, point, 50, seed=3)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+
+
+def test_simulate_coupling_pair(tmp_path):
+    # --coupling-yx makes the point explicit: (coupling, coupling_yx)
+    assert run_cli("simulate", "--preset", "henon-bi-ni-1e4", "--coupling", "0.1",
+                   "--coupling-yx", "0.3", "--T", "40", "-o", str(tmp_path)) == 0
+    got = pair_from_csv(tmp_path / "henon_bi_ni_series.csv")
+    assert np.array_equal(got.x, simulate_pair("henon_bi_ni", (0.1, 0.3), 40, seed=0).x)
+    # a zero second coupling is the one-coupling system's own point
+    assert run_cli("simulate", "--preset", "ulam-1e3", "--coupling", "0.4",
+                   "--coupling-yx", "0", "--T", "40", "-o", str(tmp_path)) == 0
+    got = pair_from_csv(tmp_path / "ulam_series.csv")
+    assert np.array_equal(got.y, simulate_pair("ulam", (0.4, 0.0), 40, seed=0).y)
+
+
 def test_indices_on_constant_series_exits_2(tmp_path):
     path = tmp_path / "const.csv"
     with open(path, "w") as fh:
@@ -106,7 +132,7 @@ def test_sweep_then_report_and_rerun_identical(tmp_path):
     assert manifest["wall_seconds"]["sweep"] > 0.0
     # 2 points x 2 runs x 2 indices x 2 directions
     assert manifest["status_counts"] == {
-        "sweep": {"ok": 16, "degenerate": 0, "skipped-synchrony": 0}}
+        "sweep": {"ok": 16, "degenerate": 0}}
 
     code = run_cli("report", "--input", str(out1 / "sweep.csv"), "-o", str(out1))
     assert code == 0
@@ -128,7 +154,7 @@ def test_perturb_standardize_fg_row(tmp_path):
     manifest = json.load(open(tmp_path / "manifest.json"))
     assert set(manifest["wall_seconds"]) == {"baseline", "perturbed"}
     assert all(v > 0.0 for v in manifest["wall_seconds"].values())
-    counts = {"ok": 16, "degenerate": 0, "skipped-synchrony": 0}
+    counts = {"ok": 16, "degenerate": 0}
     assert manifest["status_counts"] == {"baseline": counts, "perturbed": counts}
 
 
@@ -169,10 +195,22 @@ def test_malformed_csv_exits_1(tmp_path, capsys, command, body, where):
       "--indices", "te_hist"], None, None, "T must"),
     (["oracle"], None, "abc", "BICAUSAL_WORKERS"),
     (["oracle"], None, "0", "BICAUSAL_WORKERS"),
+    (["oracle", "--lp", "b_x=nan"], None, None, "b_x must be finite"),
+    (["oracle", "--lp", "var_y=inf"], None, None, "var_y must be finite"),
+    (["perturb", "--preset", "ulam-1e3", "--kind", "scale", "--factor", "inf"],
+     None, None, "must be finite"),
+    (["perturb", "--preset", "ulam-1e3", "--kind", "noise", "--noise-var", "nan"],
+     None, None, "must be finite"),
+    (["simulate", "--preset", "ulam-1e3", "--coupling-yx", "0.3"], None, None,
+     "the other must be 0"),
+    (["simulate", "--preset", "lp-1e4", "--coupling", "0.3", "--coupling-yx", "0.3"],
+     None, None, "the other must be 0"),
 ], ids=["oracle-lp-non-numeric", "oracle-lambda-nan", "oracle-lambda-inf",
         "oracle-tau-max-0", "sweep-config-runs-string", "oracle-config-lp-number",
         "simulate-T-0", "sweep-T-0",
-        "workers-env-non-numeric", "workers-env-0"])
+        "workers-env-non-numeric", "workers-env-0", "oracle-lp-b_x-nan",
+        "oracle-lp-var_y-inf", "perturb-factor-inf", "perturb-noise-var-nan",
+        "simulate-ulam-coupling-yx", "simulate-lp-coupling-xy"])
 def test_malformed_input_exits_1(tmp_path, capsys, monkeypatch, argv, config, workers,
                                  where):
     if workers is not None:

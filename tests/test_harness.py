@@ -14,8 +14,7 @@ from bicausal import (
     summarize_fg,
     timing_table,
 )
-from bicausal.core import STATUS_SKIPPED_SYNCHRONY
-from bicausal.errors import ValidationError
+from bicausal.errors import NumericalEscapeError, ValidationError
 from bicausal import harness, simulate
 from bicausal.harness import (
     Record,
@@ -109,17 +108,6 @@ def test_sweep_degenerate_never_aborts():
     assert len(res.records) == 4
     assert all(np.isfinite(r.value) or r.status != "ok" for r in res.records)
     assert any(r.status == "degenerate" for r in res.records)
-
-
-def test_skip_synchrony_flag():
-    cfg = SweepConfig(simulation="ulam", couplings=(0.18, 0.3), T=500, runs=1,
-                      indices=("te_hist",), skip_synchrony=True)
-    res = run_sweep(cfg)
-    skipped = [r for r in res.records if r.lambda_xy == 0.18]
-    assert all(r.status == STATUS_SKIPPED_SYNCHRONY for r in skipped)
-    assert all(np.isnan(r.value) for r in skipped)
-    normal = [r for r in res.records if r.lambda_xy == 0.3]
-    assert all(r.status == "ok" for r in normal)
 
 
 def test_data_size_perturbation_resimulates():
@@ -269,13 +257,16 @@ def _same_records(a: SweepResult, b: SweepResult) -> bool:
 
 
 @pytest.mark.parametrize("simulation, couplings, T, extra", [
-    ("ulam", (0.18, 0.3, 0.5), 300, {"skip_synchrony": True}),
+    ("ulam", (0.18, 0.3, 0.5), 300, {}),
     ("ulam", (0.1, 0.4, 0.7), 300,
      {"perturbation": PerturbationSpec(kind="round", decimals=1)}),
     ("ulam", (0.1, 0.4, 0.7), 300,
      {"perturbation": PerturbationSpec(kind="data_size", data_size=400)}),
     ("lp", (0.0, 0.3, 0.6), 500, {}),
     ("henon_uni", (0.0, 0.3, 0.6), 500, {}),
+    ("henon_bi_i", ((0.0, 0.1), (0.2, 0.0), (0.3, 0.3)), 400, {}),
+    ("henon_bi_ni", ((0.0, 0.1), (0.2, 0.0), (0.3, 0.3)), 400,
+     {"perturbation": PerturbationSpec(kind="round", decimals=1)}),
 ])
 def test_sweep_chunked_workers_match_serial(simulation, couplings, T, extra):
     # each worker simulates its strided chunk of units as one batch; the
@@ -284,8 +275,6 @@ def test_sweep_chunked_workers_match_serial(simulation, couplings, T, extra):
                       indices=("egc", "te_hist", "si1"), base_seed=0, **extra)
     serial = run_sweep(cfg)
     assert _same_records(serial, run_sweep(dataclasses.replace(cfg, workers=2)))
-    if extra.get("skip_synchrony"):
-        assert any(r.status == STATUS_SKIPPED_SYNCHRONY for r in serial.records)
 
 
 def test_sweep_units_match_direct_simulation():
@@ -327,3 +316,75 @@ def test_sweep_escaped_henon_is_degenerate(monkeypatch):
                                 runs=1, indices=("te_hist",)))
     assert [r.status for r in res.records] == ["degenerate", "degenerate"]
     assert all(np.isnan(r.value) for r in res.records)
+
+
+# the simulator call each system made before the simulation table, at a point
+DIRECT_CALLS = {
+    "lp": lambda pt, T, seed: simulate.sim_lp(simulate.LpParams(lam=pt[1], T=T, seed=seed)),
+    "ulam": lambda pt, T, seed: simulate.sim_ulam(
+        simulate.UlamParams(lam=pt[0], T=T, seed=seed)),
+    "henon_uni": lambda pt, T, seed: simulate.sim_henon_uni(
+        simulate.HenonUniParams(lam=pt[0], T=T, seed=seed)),
+    "henon_bi_i": lambda pt, T, seed: simulate.sim_henon_bi(
+        simulate.HenonBiParams(lam_xy=pt[0], lam_yx=pt[1], T=T, seed=seed)),
+    "henon_bi_ni": lambda pt, T, seed: simulate.sim_henon_bi(
+        simulate.HenonBiParams(lam_xy=pt[0], lam_yx=pt[1], T=T, seed=seed, b_y=0.1)),
+}
+
+
+def _same_pair(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f), getattr(b, f), equal_nan=f in ("x", "y"))
+               for f in ("x", "y", "x_missing", "y_missing"))
+
+
+@pytest.mark.parametrize("simulation", sorted(DIRECT_CALLS))
+def test_simulate_pair_matches_direct_call(simulation):
+    # lp reads lambda_yx and the henon_bi points are asymmetric, so a table
+    # entry reading the wrong coupling (or henon_bi_ni without b_y = 0.1) fails
+    assert set(DIRECT_CALLS) == set(harness.SIMULATION_TABLE)
+    point = normalize_point(simulation, (0.1, 0.3) if simulation.startswith("henon_bi")
+                            else 0.3)
+    for seed in (0, 4):
+        assert _same_pair(harness.simulate_pair(simulation, point, 200, seed),
+                          DIRECT_CALLS[simulation](point, 200, seed))
+
+
+def test_simulate_units_match_unit_by_unit(monkeypatch):
+    units = [((0.3, 0.0), 0), ((0.0, 0.0), 5), ((0.6, 0.0), 1), ((0.3, 0.0), 7)]
+    # the simulator is looked up on `simulate` at call time: seed 7 escapes
+    real = simulate.sim_henon_uni
+
+    def escaping(p):
+        if p.seed == 7:
+            raise NumericalEscapeError("escaped")
+        return real(p)
+
+    monkeypatch.setattr(simulate, "sim_henon_uni", escaping)
+    pairs = harness.simulate_units("henon_uni", units, 150)
+    assert pairs[3] is None
+    for (point, seed), pair in zip(units[:3], pairs):
+        assert _same_pair(pair, DIRECT_CALLS["henon_uni"](point, 150, seed))
+    with pytest.raises(NumericalEscapeError):
+        harness.simulate_pair("henon_uni", (0.3, 0.0), 150, 7)
+
+
+def test_simulate_units_batch_ulam(monkeypatch):
+    # one batch with mixed points and seeds; rings at lambda = 0 reach the
+    # lowered threshold at a check and come back as None
+    units = [((0.3, 0.0), 0), ((0.0, 0.0), 0), ((0.5, 0.0), 1), ((0.3, 0.0), 1)]
+    clean = harness.simulate_units("ulam", units, 120)
+    for (point, seed), pair in zip(units, clean):
+        assert _same_pair(pair, DIRECT_CALLS["ulam"](point, 120, seed))
+    monkeypatch.setattr(simulate, "ESCAPE_THRESHOLD", 2.0 - 1e-6)
+    pairs = harness.simulate_units("ulam", units, 120)
+    assert pairs[1] is None
+    assert all(_same_pair(a, b) for i, (a, b) in enumerate(zip(pairs, clean)) if i != 1)
+
+
+def test_unknown_simulation_is_validation_error():
+    for call in (lambda: harness.simulate_pair("lorenz", (0.1, 0.0), 10, 0),
+                 lambda: normalize_point("lorenz", 0.1),
+                 lambda: desk_grid("lorenz"),
+                 lambda: index_presets("lorenz", 100)):
+        with pytest.raises(ValidationError, match="unknown simulation"):
+            call()

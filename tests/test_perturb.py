@@ -83,6 +83,11 @@ def test_spec_validation():
         PerturbationSpec(kind="noise", noise_var=0.0)
     with pytest.raises(ValidationError):
         PerturbationSpec(kind="identity", target="z")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            PerturbationSpec(kind="scale", factor=bad)
+        with pytest.raises(ValidationError, match="finite"):
+            PerturbationSpec(kind="noise", noise_var=bad)
 
 
 # ---------------------------------------------------------------------------

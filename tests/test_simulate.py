@@ -46,6 +46,20 @@ def test_lp_validation():
         LpParams(lam=0.5, T=0)
 
 
+@pytest.mark.parametrize("params, name", [
+    (LpParams, "b_x"), (LpParams, "b_y"), (LpParams, "var_x"), (LpParams, "var_y"),
+    (HenonUniParams, "a"), (HenonUniParams, "b_x"), (HenonUniParams, "b_y"),
+    (HenonBiParams, "a"), (HenonBiParams, "b_x"), (HenonBiParams, "b_y"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_params_raise(params, name, value):
+    # NaN passes every range test (all comparisons are false), so each
+    # parameter is checked for finiteness on its own
+    couplings = {"lam_xy": 0.1, "lam_yx": 0.1} if params is HenonBiParams else {"lam": 0.1}
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        params(T=10, **couplings, **{name: value})
+
+
 def test_ulam_map_fixed_point():
     assert ulam_map(1.0) == 1.0
     s = np.ones(5)
