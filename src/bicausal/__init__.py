@@ -67,7 +67,6 @@ from .simulate import (
     sim_lp,
     sim_ulam,
     sim_ulam_batch,
-    ulam_map,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,9 +1,9 @@
 """Series container, delay embedding, standardisation and the directed index.
 
-A bivariate record is a pair of aligned scalar series with an explicit
-per-sample missing mask. Missing data is handled in exactly one place: the
-embedding step drops every row that references a missing sample. Nothing is
-ever imputed.
+A bivariate record is a pair of aligned scalar series in which a NaN marks a
+missing sample. Missing data is handled in exactly one place: the embedding
+step drops every row that references a missing sample. Nothing is ever
+imputed.
 """
 
 from __future__ import annotations
@@ -26,27 +26,25 @@ def _as_series(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_mask(mask, n: int, name: str) -> np.ndarray:
-    if mask is None:
-        return np.zeros(n, dtype=bool)
-    arr = np.array(mask, dtype=bool)
-    if arr.shape != (n,):
-        raise ValidationError(f"{name} mask must match the series length")
-    return arr
+def check_integer(value, name: str, minimum: int = 1):
+    """A ValidationError unless `value` is an integer (a bool is not) of at
+    least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class SeriesPair:
-    """Two aligned scalar series of equal length with missing-value masks.
+    """Two aligned scalar series of equal length; a NaN marks a missing sample.
 
-    Missing entries are stored as NaN and flagged in the mask; non-finite
-    values in the input are treated as missing automatically.
+    Any non-finite input value is stored as NaN. `x_missing` and `y_missing`
+    are read-only masks of the NaNs, computed once here.
     """
 
     x: np.ndarray
     y: np.ndarray
-    x_missing: np.ndarray | None = field(default=None, repr=False)
-    y_missing: np.ndarray | None = field(default=None, repr=False)
+    x_missing: np.ndarray = field(init=False, repr=False)
+    y_missing: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = _as_series(self.x, "x")
@@ -55,8 +53,8 @@ class SeriesPair:
             raise ValidationError("x and y must have identical length")
         if len(x) == 0:
             raise ValidationError("series must be non-empty")
-        mx = _as_mask(self.x_missing, len(x), "x") | ~np.isfinite(x)
-        my = _as_mask(self.y_missing, len(y), "y") | ~np.isfinite(y)
+        mx = ~np.isfinite(x)
+        my = ~np.isfinite(y)
         x = np.where(mx, np.nan, x)
         y = np.where(my, np.nan, y)
         for arr in (x, y, mx, my):
@@ -73,7 +71,8 @@ class SeriesPair:
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
-    """Delay-embedding configuration: dimension m, lag tau, horizon h."""
+    """Delay-embedding configuration: dimension m, lag tau, horizon h (the
+    lag and horizon are 1 unless given)."""
 
     m: int
     tau: int = 1
@@ -81,9 +80,7 @@ class EmbeddingSpec:
 
     def __post_init__(self):
         for name in ("m", "tau", "h"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer")
+            check_integer(getattr(self, name), name)
 
     @property
     def window(self) -> int:
@@ -184,7 +181,8 @@ def embed(pair: SeriesPair, spec: EmbeddingSpec) -> DelayMatrix:
 
 def standardize(pair: SeriesPair) -> SeriesPair:
     """Rescale each series to mean 0, standard deviation 1 (population
-    denominator, computed over non-missing samples). Masks are preserved."""
+    denominator, computed over non-missing samples). Missing samples stay
+    NaN."""
     out = []
     for values, mask in ((pair.x, pair.x_missing), (pair.y, pair.y_missing)):
         obs = values[~mask]
@@ -195,7 +193,7 @@ def standardize(pair: SeriesPair) -> SeriesPair:
         if sd == 0.0:
             raise DegenerateSeriesError("zero-variance series cannot be standardized")
         out.append((values - mu) / sd)
-    return SeriesPair(out[0], out[1], pair.x_missing, pair.y_missing)
+    return SeriesPair(out[0], out[1])
 
 
 def directed_index(est_xy: float, est_yx: float) -> float:
@@ -211,11 +209,11 @@ def directed_index(est_xy: float, est_yx: float) -> float:
 
 @dataclass(frozen=True)
 class IndexEstimate:
-    """One causality-index evaluation: both directions plus bookkeeping.
+    """One causality-index evaluation: values, times and status.
 
     value_xy is the X->Y estimate, value_yx the Y->X estimate; `d` is their
     difference whenever both are finite. Elapsed seconds are wall-clock per
-    direction. `params` echoes the parameters the estimate was computed with.
+    direction.
     """
 
     index: str
@@ -223,7 +221,6 @@ class IndexEstimate:
     value_yx: float
     elapsed_xy: float = 0.0
     elapsed_yx: float = 0.0
-    params: dict = field(default_factory=dict)
     status: str = STATUS_OK
 
     def __post_init__(self):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,11 +110,8 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
 
     def estimate(name, q):
         if q.R not in status:
-            return IndexEstimate(name, float("nan"), float("nan"), 0.0, 0.0, {},
-                                 STATUS_DEGENERATE)
-        params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(q)}
-        return IndexEstimate(name, *values[name, q.R], elapsed, elapsed, params,
-                             status[q.R])
+            return IndexEstimate(name, float("nan"), float("nan"), status=STATUS_DEGENERATE)
+        return IndexEstimate(name, *values[name, q.R], elapsed, elapsed, status[q.R])
 
     return estimate("si1", p), estimate("si2", p2)
 
@@ -209,8 +206,6 @@ def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
     if n < dm.m + 3:
         raise InsufficientPointsError("too few rows for cross mapping")
     sizes = [dm.m + 2, n]
-    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h,
-              "T_max": n, **asdict(p)}
 
     t0 = time.perf_counter()
     curve_yx = ccm_rho_curve(dm, p, sizes, "yx")
@@ -220,4 +215,4 @@ def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
 
     v_yx = converged_value(curve_yx[0], curve_yx[-1], p.delta_rho)
     v_xy = converged_value(curve_xy[0], curve_xy[-1], p.delta_rho)
-    return IndexEstimate("ccm", v_xy, v_yx, t2 - t1, t1 - t0, params, STATUS_OK)
+    return IndexEstimate("ccm", v_xy, v_yx, t2 - t1, t1 - t0)

@@ -36,6 +36,8 @@ from .core import (
     EmbeddingSpec,
     IndexEstimate,
     SeriesPair,
+    check_integer,
+    directed_index,
     embed,
 )
 from .errors import BicausalError, NumericalEscapeError, ValidationError
@@ -138,6 +140,7 @@ def index_presets(simulation: str, T: int) -> dict:
     the listed sizes fall back to the nearest listed size (log scale).
     """
     _entry(simulation)
+    check_integer(T, "T")
     lp = simulation == "lp"
     ulam = simulation == "ulam"
     henon_bi = simulation.startswith("henon_bi")
@@ -161,8 +164,6 @@ def index_presets(simulation: str, T: int) -> dict:
 
     return {
         "m": m_common,
-        "tau": 1,
-        "h": 1,
         "egc": egc,
         "nlgc": regress.NlgcParams(P=nlgc_P, var=0.05),
         "pi": regress.PiParams(R=10 if lp else 1, include_self=True),
@@ -230,14 +231,13 @@ class SweepConfig:
         sim = _entry(self.simulation)
         if self.T is None:
             object.__setattr__(self, "T", sim.T)
+        for name in ("T", "runs", "workers"):
+            check_integer(getattr(self, name), name)
+        check_integer(self.base_seed, "base_seed", minimum=0)
         couplings = self.couplings if self.couplings is not None else desk_grid(self.simulation)
         points = tuple(normalize_point(self.simulation, c) for c in couplings)
         object.__setattr__(self, "couplings", points)
-        if self.runs < 1:
-            raise ValidationError("runs must be >= 1")
         object.__setattr__(self, "indices", check_index_names(self.indices))
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -272,21 +272,19 @@ class SweepResult:
                 for r in self.records if r.index == index and r.direction == direction}
 
     def directed_by_point(self, index: str) -> dict:
-        """Grid point -> list of D = value_xy - value_yx, one per run."""
-        xy = self.values(index, "xy")
-        yx = self.values(index, "yx")
+        """Grid point -> list of D (`directed_series`), one per run."""
         out = {}
-        for (lxy, lyx, run), v_xy in sorted(xy.items()):
-            v_yx = yx.get((lxy, lyx, run), float("nan"))
-            out.setdefault((lxy, lyx), []).append(v_xy - v_yx)
+        for (lxy, lyx, _), d in zip(*self.directed_series(index)):
+            out.setdefault((lxy, lyx), []).append(d)
         return out
 
     def directed_series(self, index: str) -> tuple[list, np.ndarray]:
-        """Keys (point, run) sorted, with the matching D values."""
+        """Keys (point, run) sorted, with the matching D values
+        (`core.directed_index`: NaN unless both directions are finite)."""
         xy = self.values(index, "xy")
         yx = self.values(index, "yx")
         keys = sorted(xy)
-        vals = np.array([xy[k] - yx.get(k, float("nan")) for k in keys])
+        vals = np.array([directed_index(xy[k], yx.get(k, float("nan"))) for k in keys])
         return keys, vals
 
 
@@ -320,7 +318,7 @@ def simulate_pair(simulation: str, point: tuple[float, float], T: int,
 
 
 def _status_estimate(name: str, status: str) -> IndexEstimate:
-    return IndexEstimate(name, float("nan"), float("nan"), 0.0, 0.0, {}, status)
+    return IndexEstimate(name, float("nan"), float("nan"), status=status)
 
 
 def compute_indices(pair: SeriesPair, simulation: str, T: int,
@@ -337,7 +335,7 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
 
     def dm_for(m: int):
         if m not in dms:
-            dms[m] = embed(pair, EmbeddingSpec(m=m, tau=presets["tau"], h=presets["h"]))
+            dms[m] = embed(pair, EmbeddingSpec(m=m))
         return dms[m]
 
     # the graph readers last, largest k first (a stable sort), so each kNN

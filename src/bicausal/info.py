@@ -18,7 +18,7 @@ use the kd-tree ball count (`_tree_counts`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -134,6 +134,18 @@ def _te_hist_one(cond_emb, src_emb, fut, cond_edge, src_edge):
     return h_cf + h_cs - h_c - h_csf
 
 
+def _te_hist_direction(dm: DelayMatrix, N: int, direction: str) -> float | None:
+    """Histogram TE of one direction ("yx": Y -> X, "xy": X -> Y) over N
+    equal-width bins per variable; None when either series is constant."""
+    x_edge = _equal_width_edges(np.concatenate([dm.x_emb.ravel(), dm.x_future]), N)
+    y_edge = _equal_width_edges(np.concatenate([dm.y_emb.ravel(), dm.y_future]), N)
+    if x_edge is None or y_edge is None:
+        return None
+    if direction == "yx":
+        return _te_hist_one(dm.x_emb, dm.y_emb, dm.x_future, x_edge, y_edge)
+    return _te_hist_one(dm.y_emb, dm.x_emb, dm.y_future, y_edge, x_edge)
+
+
 def te_hist(dm: DelayMatrix, p: HistParams = HistParams()) -> IndexEstimate:
     """Histogram transfer entropy, both directions.
 
@@ -146,58 +158,44 @@ def te_hist(dm: DelayMatrix, p: HistParams = HistParams()) -> IndexEstimate:
     AR(1) persistences 0.8 and 0.4), the two directions carry different bias
     and D != 0 at zero coupling; `ete_hist` is the shuffle-corrected form.
     """
-    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(p)}
-    x_edge = _equal_width_edges(np.concatenate([dm.x_emb.ravel(), dm.x_future]), p.N)
-    y_edge = _equal_width_edges(np.concatenate([dm.y_emb.ravel(), dm.y_future]), p.N)
-    if x_edge is None or y_edge is None:
-        return IndexEstimate("te_hist", float("nan"), float("nan"), 0.0, 0.0,
-                             params, STATUS_DEGENERATE)
     t0 = time.perf_counter()
-    v_yx = _te_hist_one(dm.x_emb, dm.y_emb, dm.x_future, x_edge, y_edge)
+    v_yx = _te_hist_direction(dm, p.N, "yx")
     t1 = time.perf_counter()
-    v_xy = _te_hist_one(dm.y_emb, dm.x_emb, dm.y_future, y_edge, x_edge)
+    v_xy = _te_hist_direction(dm, p.N, "xy")
     t2 = time.perf_counter()
-    return IndexEstimate("te_hist", v_xy, v_yx, t2 - t1, t1 - t0, params, STATUS_OK)
+    if v_yx is None or v_xy is None:
+        return IndexEstimate("te_hist", float("nan"), float("nan"), status=STATUS_DEGENERATE)
+    return IndexEstimate("te_hist", v_xy, v_yx, t2 - t1, t1 - t0)
 
 
 def ete_hist(dm: DelayMatrix, p: HistParams = HistParams(),
              e: EteParams = EteParams()) -> IndexEstimate:
     """Effective transfer entropy: TE minus its mean over seeded whole-series
-    permutations of the source variable (applied before re-embedding)."""
+    permutations of the source variable (applied before re-embedding); a
+    shuffle whose series is constant makes the estimate degenerate."""
     base = te_hist(dm, p)
-    params = {**base.params, **asdict(e)}
     if base.status != STATUS_OK:
-        return IndexEstimate("ete_hist", float("nan"), float("nan"), 0.0, 0.0,
-                             params, base.status)
+        return IndexEstimate("ete_hist", float("nan"), float("nan"), status=base.status)
     rng = np.random.default_rng(e.seed)
     perms = [rng.permutation(dm.source.T) for _ in range(e.n_shuffle)]
+    x, y = dm.source.x, dm.source.y
 
-    def shuffled_mean(direction: str) -> float:
+    def shuffled_mean(direction: str) -> float | None:
         vals = []
         for perm in perms:
-            if direction == "yx":
-                pair = SeriesPair(dm.source.x, dm.source.y[perm],
-                                  dm.source.x_missing, dm.source.y_missing[perm])
-            else:
-                pair = SeriesPair(dm.source.x[perm], dm.source.y,
-                                  dm.source.x_missing[perm], dm.source.y_missing)
-            sdm = embed(pair, dm.spec)
-            xe = _equal_width_edges(np.concatenate([sdm.x_emb.ravel(), sdm.x_future]), p.N)
-            ye = _equal_width_edges(np.concatenate([sdm.y_emb.ravel(), sdm.y_future]), p.N)
-            if direction == "yx":
-                vals.append(_te_hist_one(sdm.x_emb, sdm.y_emb, sdm.x_future, xe, ye))
-            else:
-                vals.append(_te_hist_one(sdm.y_emb, sdm.x_emb, sdm.y_future, ye, xe))
-        return float(np.mean(vals))
+            pair = SeriesPair(x, y[perm]) if direction == "yx" else SeriesPair(x[perm], y)
+            vals.append(_te_hist_direction(embed(pair, dm.spec), p.N, direction))
+        return None if None in vals else float(np.mean(vals))
 
     t0 = time.perf_counter()
-    v_yx = base.value_yx - shuffled_mean("yx")
+    s_yx = shuffled_mean("yx")
     t1 = time.perf_counter()
-    v_xy = base.value_xy - shuffled_mean("xy")
+    s_xy = shuffled_mean("xy")
     t2 = time.perf_counter()
-    return IndexEstimate("ete_hist", v_xy, v_yx,
-                         base.elapsed_xy + (t2 - t1), base.elapsed_yx + (t1 - t0),
-                         params, STATUS_OK)
+    if s_yx is None or s_xy is None:
+        return IndexEstimate("ete_hist", float("nan"), float("nan"), status=STATUS_DEGENERATE)
+    return IndexEstimate("ete_hist", base.value_xy - s_xy, base.value_yx - s_yx,
+                         base.elapsed_xy + (t2 - t1), base.elapsed_yx + (t1 - t0))
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +396,13 @@ def cmi_ksg(a, b, c=None, p: KsgParams = KsgParams()) -> float:
 
 def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams()) -> IndexEstimate:
     """k-NN transfer entropy: I(future; source embedding | own embedding)."""
-    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(p)}
     t0 = time.perf_counter()
     v_yx, deg_yx = _cmi_ksg_impl(dm.x_future, dm.y_emb, dm.x_emb, p)
     t1 = time.perf_counter()
     v_xy, deg_xy = _cmi_ksg_impl(dm.y_future, dm.x_emb, dm.y_emb, p)
     t2 = time.perf_counter()
     status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
-    return IndexEstimate("te_ksg", v_xy, v_yx, t2 - t1, t1 - t0, params, status)
+    return IndexEstimate("te_ksg", v_xy, v_yx, t2 - t1, t1 - t0, status)
 
 
 def ctir(pair: SeriesPair, p: CtirParams) -> IndexEstimate:
@@ -418,7 +415,6 @@ def ctir(pair: SeriesPair, p: CtirParams) -> IndexEstimate:
     if pair.T <= p.tau_max + 2:
         raise InsufficientDataError("series too short for the requested tau_max")
     kp = KsgParams(k=p.k, seed=p.seed)
-    params = asdict(p)
 
     def one_direction(effect, cause, miss_e, miss_c):
         vals, any_deg = [], False
@@ -438,4 +434,4 @@ def ctir(pair: SeriesPair, p: CtirParams) -> IndexEstimate:
     v_xy, deg_xy = one_direction(pair.y, pair.x, pair.y_missing, pair.x_missing)
     t2 = time.perf_counter()
     status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
-    return IndexEstimate("ctir", v_xy, v_yx, t2 - t1, t1 - t0, params, status)
+    return IndexEstimate("ctir", v_xy, v_yx, t2 - t1, t1 - t0, status)

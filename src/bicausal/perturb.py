@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeriesPair, standardize
+from .core import SeriesPair, check_integer, standardize
 from .errors import UndefinedStatisticError, ValidationError
 
 KINDS = ("identity", "data_size", "standardize", "scale", "round", "missing", "noise")
@@ -39,12 +39,13 @@ class PerturbationSpec:
             raise ValidationError("factor and noise_var must be finite")
         if self.kind == "missing" and not 0.0 < self.fraction < 1.0:
             raise ValidationError("missing fraction must lie in (0, 1)")
-        if self.kind == "round" and self.decimals < 0:
-            raise ValidationError("decimals must be >= 0")
+        if self.kind == "round":
+            check_integer(self.decimals, "decimals", minimum=0)
         if self.kind == "noise" and self.noise_var <= 0:
             raise ValidationError("noise variance must be positive")
-        if self.kind == "data_size" and (self.data_size is None or self.data_size < 1):
-            raise ValidationError("data_size requires a positive length")
+        if self.kind == "data_size":
+            check_integer(self.data_size, "data_size")
+        check_integer(self.seed, "seed", minimum=0)
 
 
 def _targets(spec: PerturbationSpec):
@@ -70,13 +71,11 @@ def apply_perturbation(pair: SeriesPair, spec: PerturbationSpec,
         if spec.data_size > pair.T:
             raise ValidationError(
                 "cannot extend an existing pair; rerun the simulation at the larger T")
-        sl = slice(0, spec.data_size)
-        return SeriesPair(pair.x[sl], pair.y[sl], pair.x_missing[sl], pair.y_missing[sl])
+        return SeriesPair(pair.x[:spec.data_size], pair.y[:spec.data_size])
     if spec.kind == "standardize":
         return standardize(pair)
 
     data = {"x": pair.x.copy(), "y": pair.y.copy()}
-    masks = {"x": pair.x_missing.copy(), "y": pair.y_missing.copy()}
     for name in _targets(spec):
         if spec.kind == "scale":
             data[name] = data[name] * spec.factor
@@ -85,11 +84,10 @@ def apply_perturbation(pair: SeriesPair, spec: PerturbationSpec,
         elif spec.kind == "missing":
             n_drop = int(np.floor(spec.fraction * pair.T))
             drop = rng.choice(pair.T, size=n_drop, replace=False)
-            masks[name] = masks[name].copy()
-            masks[name][drop] = True
+            data[name][drop] = np.nan
         elif spec.kind == "noise":
             data[name] = data[name] + rng.normal(0.0, np.sqrt(spec.noise_var), pair.T)
-    return SeriesPair(data["x"], data["y"], masks["x"], masks["y"])
+    return SeriesPair(data["x"], data["y"])
 
 
 @dataclass(frozen=True)
@@ -98,10 +96,6 @@ class IndexFg:
 
     f: float
     g: float
-    mu: np.ndarray = field(repr=False)
-    mu_hat: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    sigma_hat: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -168,5 +162,5 @@ def summarize_fg(baseline, perturbed, exclude=None) -> PerturbSummary:
             g = float("nan")
         else:
             g = float(s_pert / s_base)
-        stats[index] = IndexFg(f, g, mu, mu_hat, sigma, sigma_hat)
+        stats[index] = IndexFg(f, g)
     return PerturbSummary(couplings=kept, excluded=excluded, stats=stats)

@@ -4,7 +4,7 @@ global RBF, and locally constant predictability improvement."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,7 +153,6 @@ def egc(dm: DelayMatrix, p: EgcParams = EgcParams()) -> IndexEstimate:
     min_pts = max(2 * dm.m + 2, 10)
     z = dm.z_emb
     zset = PointSet(z)
-    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(p)}
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(p.seed)
@@ -181,7 +180,7 @@ def egc(dm: DelayMatrix, p: EgcParams = EgcParams()) -> IndexEstimate:
     v_yx = float(np.mean(vals_yx)) if vals_yx else float("nan")
     v_xy = float(np.mean(vals_xy)) if vals_xy else float("nan")
     status = STATUS_OK if (vals_yx and vals_xy) else STATUS_DEGENERATE
-    return IndexEstimate("egc", v_xy, v_yx, elapsed / 2, elapsed / 2, params, status)
+    return IndexEstimate("egc", v_xy, v_yx, elapsed / 2, elapsed / 2, status)
 
 
 def _rbf_features(emb: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
@@ -197,7 +196,6 @@ def nlgc(dm: DelayMatrix, p: NlgcParams = NlgcParams()) -> IndexEstimate:
     """
     if p.P > dm.n_rows:
         raise InsufficientPointsError("more RBF centers than rows")
-    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(p)}
 
     t0 = time.perf_counter()
     feats_x = _rbf_features(dm.x_emb, kmeans(dm.x_emb, p.P, seed=[p.seed, 0]), p.var)
@@ -214,7 +212,7 @@ def nlgc(dm: DelayMatrix, p: NlgcParams = NlgcParams()) -> IndexEstimate:
     return IndexEstimate("nlgc",
                          float("nan") if v_xy is None else v_xy,
                          float("nan") if v_yx is None else v_yx,
-                         elapsed / 2, elapsed / 2, params, status)
+                         elapsed / 2, elapsed / 2, status)
 
 
 def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
@@ -224,7 +222,6 @@ def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
     n = dm.n_rows
     if n <= p.R + 1:
         raise InsufficientPointsError("need more rows than neighbours")
-    params = {"m": dm.spec.m, "tau": dm.spec.tau, "h": dm.spec.h, **asdict(p)}
 
     t0 = time.perf_counter()
     self_col = np.arange(n)[:, None]
@@ -242,4 +239,4 @@ def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
     v_xy = mse(idx_y, dm.y_future) - mse(idx_z, dm.y_future)
     elapsed = time.perf_counter() - t0
 
-    return IndexEstimate("pi", v_xy, v_yx, elapsed / 2, elapsed / 2, params, STATUS_OK)
+    return IndexEstimate("pi", v_xy, v_yx, elapsed / 2, elapsed / 2)

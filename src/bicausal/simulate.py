@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .core import SeriesPair
+from .core import SeriesPair, check_integer
 from .errors import NumericalEscapeError, ValidationError
 
 GENERATOR_NAME = "PCG64"
@@ -37,9 +37,9 @@ ULAM_BATCH_RINGS = 32
 
 
 def _check_params(p, *finite):
-    """T must be a positive integer and the named fields finite."""
-    if not isinstance(p.T, (int, np.integer)) or p.T < 1:
-        raise ValidationError("T must be a positive integer")
+    """T must be an integer >= 1, seed one >= 0 and the named fields finite."""
+    check_integer(p.T, "T")
+    check_integer(p.seed, "seed", minimum=0)
     for name in finite:
         if not math.isfinite(getattr(p, name)):
             raise ValidationError(f"{name} must be finite")
@@ -150,11 +150,6 @@ def sim_lp(p: LpParams) -> SeriesPair:
     return SeriesPair(x[TRANSIENTS_LP:], y[TRANSIENTS_LP:])
 
 
-def ulam_map(s):
-    """The Ulam map f(s) = 2 - s^2 (maps [-2, 2] into itself; fixed point 1)."""
-    return 2.0 - s * s
-
-
 def _ulam_rings(s0, lam, T: int):
     """Advance U rings together from initial lattices s0 (shape (U, N_L)) at
     couplings lam (shape (U,)) through the transient and T recorded steps.
@@ -180,7 +175,7 @@ def _ulam_rings(s0, lam, T: int):
     record = np.empty((T, 2 * U))
 
     def advance(first: int, stop: int, recorded: bool):
-        # s_new[l] = f(lam * s[l-1] + (1-lam) * s[l]), ring-closed
+        # s_new[l] = f(lam * s[l-1] + (1-lam) * s[l]), ring-closed, f(s) = 2 - s^2
         for step in range(first, stop):
             np.multiply(pred_src, lam_all, out=pred)
             np.multiply(s, keep_all, out=tmp)

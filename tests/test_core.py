@@ -71,9 +71,9 @@ def test_embed_restriction_property():
     x = rng.normal(size=60)
     y = rng.normal(size=60)
     full = embed(SeriesPair(x, y), EmbeddingSpec(m=2, tau=2, h=1))
-    mask = np.zeros(60, dtype=bool)
-    mask[[5, 17, 40]] = True
-    sub = embed(SeriesPair(x, y, x_missing=mask), EmbeddingSpec(m=2, tau=2, h=1))
+    x_gaps = x.copy()
+    x_gaps[[5, 17, 40]] = np.nan
+    sub = embed(SeriesPair(x_gaps, y), EmbeddingSpec(m=2, tau=2, h=1))
     full_by_t = {t: i for i, t in enumerate(full.t)}
     for i, t in enumerate(sub.t):
         j = full_by_t[t]

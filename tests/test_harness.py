@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bicausal import (
+    EmbeddingSpec,
     LpParams,
     PerturbationSpec,
     SeriesPair,
@@ -170,14 +171,17 @@ def test_histogram_estimator_is_fastest():
     # rank property of the emitted timing table: the histogram TE is the
     # cheapest index on the linear process, and the shuffle-corrected variant
     # (which recomputes TE per shuffle) stays far below the expensive
-    # neighbour-based estimators
+    # neighbour-based estimators. Each index's time is its minimum over three
+    # identical sweeps in this process, so one slow run of a ~10 ms index
+    # (what ran before it, the scheduler) does not decide the ranking
     cfg = SweepConfig(simulation="lp", couplings=(0.5,), T=10_000, runs=1,
                       base_seed=0)
-    table = timing_table(run_sweep(cfg))
-    others = {k: v[0] for k, v in table.items() if k not in ("te_hist", "ete_hist")}
-    assert table["te_hist"][0] <= min(others.values()), table
-    slow_family = min(table[k][0] for k in ("pi", "te_ksg", "ctir", "si1", "si2", "ccm"))
-    assert table["ete_hist"][0] < slow_family, table
+    tables = [timing_table(run_sweep(cfg)) for _ in range(3)]
+    table = {k: min(t[k][0] for t in tables) for k in tables[0]}
+    others = {k: v for k, v in table.items() if k not in ("te_hist", "ete_hist")}
+    assert table["te_hist"] <= min(others.values()), tables
+    slow_family = min(table[k] for k in ("pi", "te_ksg", "ctir", "si1", "si2", "ccm"))
+    assert table["ete_hist"] < slow_family, tables
 
 
 def test_sweep_csv_roundtrip(tmp_path, small_ulam_sweep):
@@ -243,6 +247,45 @@ def test_config_validation():
         SweepConfig(simulation="lp", indices=("bogus",))
     with pytest.raises(ValidationError):
         SweepConfig(simulation="lp", indices=("te_hist", "te_hist"))
+
+
+# each used to raise a TypeError or numpy's or math's ValueError (a negative
+# seed, at the first generator), or to be accepted (T=True simulated one
+# sample, decimals=1.5 rounded)
+@pytest.mark.parametrize("make", [
+    lambda: SweepConfig(simulation="lp", runs=2.5),
+    lambda: SweepConfig(simulation="lp", workers=1.5),
+    lambda: SweepConfig(simulation="lp", base_seed=-1),
+    lambda: SweepConfig(simulation="lp", base_seed=0.5),
+    lambda: SweepConfig(simulation="lp", T=True),
+    lambda: SweepConfig(simulation="lp", T=0),
+    lambda: harness.compute_indices(SeriesPair(np.arange(50.0), np.arange(50.0)), "ulam", 0),
+    lambda: index_presets("lp", 1000.0),
+    lambda: PerturbationSpec(kind="data_size", data_size=2.5),
+    lambda: PerturbationSpec(kind="data_size", data_size=True),
+    lambda: PerturbationSpec(kind="round", decimals=1.5),
+    lambda: PerturbationSpec(kind="round", decimals=-1),
+    lambda: PerturbationSpec(kind="noise", seed=-1),
+    lambda: EmbeddingSpec(m=True),
+    lambda: EmbeddingSpec(m=2, tau=1.0),
+    lambda: LpParams(lam=0.1, T=True),
+    lambda: LpParams(lam=0.1, T=10.0),
+    lambda: LpParams(lam=0.1, T=10, seed=-1),
+], ids=["runs-float", "workers-float", "base_seed-negative", "base_seed-float", "T-bool",
+        "T-zero", "compute_indices-T-zero", "presets-T-float", "data_size-float",
+        "data_size-bool", "decimals-float", "decimals-negative", "perturb-seed-negative",
+        "m-bool", "tau-float", "sim-T-bool", "sim-T-float", "sim-seed-negative"])
+def test_integer_inputs_raise_validation_error(make):
+    with pytest.raises(ValidationError, match="must be an integer >="):
+        make()
+
+
+def test_integer_inputs_accept_numpy_integers():
+    cfg = SweepConfig(simulation="lp", T=np.int64(100), runs=np.int32(2),
+                      base_seed=np.int64(0), workers=np.int64(1))
+    assert (cfg.T, cfg.runs, cfg.base_seed, cfg.workers) == (100, 2, 0, 1)
+    assert PerturbationSpec(kind="round", decimals=np.int64(0)).decimals == 0
+    assert EmbeddingSpec(m=np.int64(2)).window == 1
 
 
 def _same_records(a: SweepResult, b: SweepResult) -> bool:

@@ -24,7 +24,7 @@ from bicausal import (
     te_lp_analytic,
     te_lp_small_lam,
 )
-from bicausal.core import STATUS_DEGENERATE
+from bicausal.core import STATUS_DEGENERATE, STATUS_OK
 from bicausal.errors import (
     InsufficientDataError,
     InsufficientPointsError,
@@ -143,6 +143,21 @@ def test_ete_nonpositive_when_te_zero():
     dm = embed(SeriesPair(x, x.copy()), EmbeddingSpec(m=1))
     est = ete_hist(dm, e=EteParams(n_shuffle=5, seed=0))
     assert est.value_yx <= 1e-12
+
+
+def test_ete_degenerate_when_a_shuffle_leaves_a_constant_series():
+    # x varies only in its last sample, the future of the last row; a
+    # shuffled y that puts a gap on that row leaves x constant in the
+    # shuffled embedding
+    x = np.zeros(20)
+    x[-1] = 1.0
+    y = np.random.default_rng(0).normal(size=20)
+    y[[2, 5, 8, 11, 14]] = np.nan
+    dm = embed(SeriesPair(x, y), EmbeddingSpec(m=1))
+    assert te_hist(dm).status == STATUS_OK
+    est = ete_hist(dm)
+    assert est.status == STATUS_DEGENERATE
+    assert np.isnan(est.value_xy) and np.isnan(est.value_yx)
 
 
 def test_ete_deterministic():

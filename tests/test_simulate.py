@@ -10,7 +10,6 @@ from bicausal import (
     sim_henon_uni,
     sim_lp,
     sim_ulam,
-    ulam_map,
 )
 from bicausal.errors import NumericalEscapeError, ValidationError
 from bicausal import simulate
@@ -58,14 +57,6 @@ def test_non_finite_params_raise(params, name, value):
     couplings = {"lam_xy": 0.1, "lam_yx": 0.1} if params is HenonBiParams else {"lam": 0.1}
     with pytest.raises(ValidationError, match=f"{name} must be finite"):
         params(T=10, **couplings, **{name: value})
-
-
-def test_ulam_map_fixed_point():
-    assert ulam_map(1.0) == 1.0
-    s = np.ones(5)
-    for _ in range(50):
-        s = ulam_map(s)
-    assert np.all(s == 1.0)
 
 
 def test_ulam_orbit_stays_bounded():
