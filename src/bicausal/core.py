@@ -213,7 +213,8 @@ class IndexEstimate:
 
     value_xy is the X->Y estimate, value_yx the Y->X estimate; `d` is their
     difference whenever both are finite. Elapsed seconds are wall-clock per
-    direction.
+    direction; te_ksg and ctir may run their two directions at the same time
+    (see `info`), so their two elapsed times may overlap.
     """
 
     index: str

@@ -396,6 +396,19 @@ def _run_chunk(cfg: SweepConfig, units: list) -> list[Record]:
     return records
 
 
+def _chunks(cfg: SweepConfig) -> list[list]:
+    """Worker k's units k, k + workers, ...; no empty chunk."""
+    units = [(i, run) for i in range(len(cfg.couplings)) for run in range(cfg.runs)]
+    return [c for c in (units[k::cfg.workers] for k in range(cfg.workers)) if c]
+
+
+def _init_worker(processes: int):
+    """Sweep pool initializer: a worker runs ctir's and te_ksg's two
+    directions concurrently only when each of the `processes` workers has two
+    cores, so that the pool never runs more threads than there are cores."""
+    info._concurrent_directions = info.spare_core(processes)
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute the full (grid x runs) sweep; degenerate estimates and escaped
     simulations are recorded with their status and never abort the sweep.
@@ -403,10 +416,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     Worker k gets the units k, k + workers, ... as one chunk, so that its
     Ulam rings are simulated together; workers=1 runs the one chunk here.
     """
-    units = [(i, run) for i in range(len(cfg.couplings)) for run in range(cfg.runs)]
-    chunks = [c for c in (units[k::cfg.workers] for k in range(cfg.workers)) if c]
+    chunks = _chunks(cfg)
     if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks), initializer=_init_worker,
+                                 initargs=(len(chunks),)) as pool:
             done = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
     else:
         done = [_run_chunk(cfg, chunk) for chunk in chunks]
@@ -609,6 +622,11 @@ def write_manifest(path, cfg: SweepConfig, extra: dict | None = None):
         "base_seed": cfg.base_seed,
         "perturbation": None if cfg.perturbation is None else asdict(cfg.perturbation),
         "workers": cfg.workers,
+        # ctir's and te_ksg's two directions overlap in time when each sweep
+        # process has two cores: their elapsed_xy + elapsed_yx may then
+        # exceed the unit's wall time
+        "cpus": info.usable_cpus(),
+        "directions_concurrent": info.spare_core(len(_chunks(cfg))),
         "prng": simulate.GENERATOR_NAME,
         "presets_version": PRESETS_VERSION,
         "created_unix": time.time(),

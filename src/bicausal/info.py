@@ -13,11 +13,21 @@ where the kd-tree's own test fl(|x_j - x_i|) < r changes, which is monotone
 in x_j, so the counts equal the tree's exactly. Two columns add an integer
 rectangle count over the two rank orders. Marginals of three or more columns
 use the kd-tree ball count (`_tree_counts`).
+
+`te_ksg` and `ctir` evaluate their two directions, which are independent, in
+`_both_directions`. When the process has a spare core the yx direction runs
+in one helper thread, made and joined within the call, while the calling
+thread runs xy; the kd-tree queries, sorts and `searchsorted` that do the
+work release the GIL. Each direction computes exactly what it computes
+alone, so the values do not depend on it, but the two elapsed times may
+overlap. Every other estimator runs on the calling thread only.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +47,27 @@ from .neighbors import seeded_jitter
 
 # amplitude of the tie-breaking jitter, relative to each column's std
 _JITTER_SCALE = 1e-10
+
+
+def usable_cpus() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    has one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def spare_core(processes: int) -> bool:
+    """Whether each of `processes` processes sharing the usable cores has
+    one core for each of two concurrent directions."""
+    return usable_cpus() >= 2 * processes
+
+
+# whether `_both_directions` runs the two directions concurrently: true when
+# this process has a spare core; a sweep's worker processes reset it for
+# their number (harness.run_sweep)
+_concurrent_directions = spare_core(1)
 
 
 @dataclass(frozen=True)
@@ -394,15 +425,36 @@ def cmi_ksg(a, b, c=None, p: KsgParams = KsgParams()) -> float:
     return _cmi_ksg_impl(a, b, c, p)[0]
 
 
+def _timed(fn, args):
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
+def _both_directions(fn, xy_args: tuple, yx_args: tuple):
+    """((result, elapsed) of fn(*xy_args), (result, elapsed) of fn(*yx_args)).
+
+    With `_concurrent_directions` the yx call runs in one helper thread while
+    this thread runs xy; otherwise yx runs first, then xy, on this thread.
+    The helper is joined before this returns or raises, and an exception of
+    either call propagates unchanged (xy's when both raise).
+    """
+    if not _concurrent_directions:
+        yx = _timed(fn, yx_args)
+        return _timed(fn, xy_args), yx
+    with ThreadPoolExecutor(1) as pool:
+        yx = pool.submit(_timed, fn, yx_args)
+        xy = _timed(fn, xy_args)
+        return xy, yx.result()
+
+
 def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams()) -> IndexEstimate:
     """k-NN transfer entropy: I(future; source embedding | own embedding)."""
-    t0 = time.perf_counter()
-    v_yx, deg_yx = _cmi_ksg_impl(dm.x_future, dm.y_emb, dm.x_emb, p)
-    t1 = time.perf_counter()
-    v_xy, deg_xy = _cmi_ksg_impl(dm.y_future, dm.x_emb, dm.y_emb, p)
-    t2 = time.perf_counter()
+    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = _both_directions(
+        _cmi_ksg_impl, (dm.y_future, dm.x_emb, dm.y_emb, p),
+        (dm.x_future, dm.y_emb, dm.x_emb, p))
     status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
-    return IndexEstimate("te_ksg", v_xy, v_yx, t2 - t1, t1 - t0, status)
+    return IndexEstimate("te_ksg", v_xy, v_yx, t_xy, t_yx, status)
 
 
 def ctir(pair: SeriesPair, p: CtirParams) -> IndexEstimate:
@@ -428,10 +480,8 @@ def ctir(pair: SeriesPair, p: CtirParams) -> IndexEstimate:
             any_deg |= deg
         return float(np.mean(vals)), any_deg
 
-    t0 = time.perf_counter()
-    v_yx, deg_yx = one_direction(pair.x, pair.y, pair.x_missing, pair.y_missing)
-    t1 = time.perf_counter()
-    v_xy, deg_xy = one_direction(pair.y, pair.x, pair.y_missing, pair.x_missing)
-    t2 = time.perf_counter()
+    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = _both_directions(
+        one_direction, (pair.y, pair.x, pair.y_missing, pair.x_missing),
+        (pair.x, pair.y, pair.x_missing, pair.y_missing))
     status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
-    return IndexEstimate("ctir", v_xy, v_yx, t2 - t1, t1 - t0, status)
+    return IndexEstimate("ctir", v_xy, v_yx, t_xy, t_yx, status)

@@ -16,7 +16,7 @@ from bicausal import (
     timing_table,
 )
 from bicausal.errors import NumericalEscapeError, ValidationError
-from bicausal import harness, simulate
+from bicausal import harness, info, simulate
 from bicausal.harness import (
     Record,
     SweepResult,
@@ -221,7 +221,19 @@ def test_manifest_contents(tmp_path):
     assert payload["presets_version"] == harness.PRESETS_VERSION
     assert set(payload["versions"]) == {"bicausal", "python", "numpy", "scipy"}
     assert payload["versions"]["numpy"] == np.__version__
+    assert payload["cpus"] == info.usable_cpus()
+    assert payload["directions_concurrent"] == (payload["cpus"] >= 2)
     assert (tmp_path / "m.json").exists()
+
+
+def test_manifest_directions_concurrent_follows_sweep_processes(tmp_path, monkeypatch):
+    # two units on two workers: two processes, so concurrent from 4 cores
+    cfg = SweepConfig(simulation="ulam", couplings=(0.2, 0.3), T=100, runs=1,
+                      indices=("te_hist",), workers=2)
+    for cpus, concurrent in ((3, False), (4, True)):
+        monkeypatch.setattr(info.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        payload = write_manifest(tmp_path / "m.json", cfg)
+        assert (payload["cpus"], payload["directions_concurrent"]) == (cpus, concurrent)
 
 
 def test_fg_pipeline_te_hist_standardize():
@@ -318,6 +330,35 @@ def test_sweep_chunked_workers_match_serial(simulation, couplings, T, extra):
                       indices=("egc", "te_hist", "si1"), base_seed=0, **extra)
     serial = run_sweep(cfg)
     assert _same_records(serial, run_sweep(dataclasses.replace(cfg, workers=2)))
+
+
+@pytest.mark.parametrize("cpus, processes, concurrent", [
+    (1, 1, False), (2, 1, True), (2, 2, False), (3, 2, False), (4, 2, True), (8, 3, True),
+])
+def test_worker_initializer_rule(monkeypatch, cpus, processes, concurrent):
+    monkeypatch.setattr(info.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(info, "_concurrent_directions", not concurrent)
+    harness._init_worker(processes)
+    assert info._concurrent_directions is concurrent
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(info.os, "sched_getaffinity")
+    monkeypatch.setattr(info.os, "cpu_count", lambda: 3)
+    assert info.usable_cpus() == 3
+
+
+def test_sweep_workers_fork_after_direction_threads(monkeypatch):
+    # helper threads started in this process before the pool forks its
+    # workers must not leave the workers anything to wait on
+    monkeypatch.setattr(info, "_concurrent_directions", True)
+    pair = simulate.sim_ulam(simulate.UlamParams(lam=0.3, T=300, seed=0))
+    harness.compute_indices(pair, "ulam", 300, ("te_ksg", "ctir"))
+    cfg = SweepConfig(simulation="ulam", couplings=(0.18, 0.3, 0.5), T=300, runs=2,
+                      indices=("te_ksg", "ctir", "te_hist"), base_seed=0)
+    pooled = run_sweep(dataclasses.replace(cfg, workers=2))
+    monkeypatch.setattr(info, "_concurrent_directions", False)
+    assert _same_records(run_sweep(cfg), pooled)
 
 
 def test_sweep_units_match_direct_simulation():

@@ -1,4 +1,5 @@
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -12,13 +13,16 @@ from bicausal import (
     LpParams,
     PerturbationSpec,
     SeriesPair,
+    UlamParams,
     apply_perturbation,
     cmi_ksg,
+    compute_indices,
     ctir,
     embed,
     ete_hist,
     hist_entropy,
     sim_lp,
+    sim_ulam,
     te_hist,
     te_ksg,
     te_lp_analytic,
@@ -30,7 +34,7 @@ from bicausal.errors import (
     InsufficientPointsError,
     ValidationError,
 )
-from bicausal import info
+from bicausal import harness, info
 from bicausal.info import _cmi_ksg_impl
 
 
@@ -321,3 +325,61 @@ def test_te_ksg_counts_match_tree(monkeypatch, m):
     fast, tree = _with_tree_counts(monkeypatch, lambda: te_ksg(dm))
     assert (fast.value_xy, fast.value_yx, fast.status) == (tree.value_xy, tree.value_yx,
                                                            tree.status)
+
+
+# ---------------------------------------------------------------------------
+# the two directions on two threads against one thread
+
+
+_DIRECTION_CASES = {
+    "lp-raw": lambda: sim_lp(LpParams(lam=0.3, T=2000, seed=18)),
+    "lp-round1": lambda: apply_perturbation(sim_lp(LpParams(lam=0.3, T=2000, seed=18)),
+                                            PerturbationSpec(kind="round", decimals=1)),
+    "lp-missing": lambda: apply_perturbation(
+        sim_lp(LpParams(lam=0.3, T=2000, seed=18)),
+        PerturbationSpec(kind="missing", fraction=0.1, seed=3)),
+    "ulam-1e3": lambda: sim_ulam(UlamParams(lam=0.4, T=1000, seed=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIRECTION_CASES))
+def test_concurrent_directions_equal_serial(monkeypatch, case):
+    pair = _DIRECTION_CASES[case]()
+    presets = harness.index_presets("lp" if case.startswith("lp") else "ulam", pair.T)
+    dm = embed(pair, EmbeddingSpec(m=1))
+    for estimate in (lambda: te_ksg(dm, presets["te_ksg"]),
+                     lambda: ctir(pair, presets["ctir"])):
+        got = []
+        for flag in (False, True):
+            monkeypatch.setattr(info, "_concurrent_directions", flag)
+            got.append(estimate())
+        serial, concurrent = got
+        assert (concurrent.value_xy, concurrent.value_yx, concurrent.status) == (
+            serial.value_xy, serial.value_yx, serial.status)
+        for est in (serial, concurrent):
+            assert est.elapsed_xy > 0 and est.elapsed_yx > 0
+
+
+def _odd_gaps(swap: bool) -> SeriesPair:
+    # x missing at every odd t: each lag-1 row of the Y -> X direction
+    # (effect x at t and t+1) touches a gap, while X -> Y keeps the even rows
+    pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
+    x = pair.x.copy()
+    x[1::2] = np.nan
+    return SeriesPair(pair.y, x) if swap else SeriesPair(x, pair.y)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["helper-thread", "main-thread"])
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_ctir_direction_error_propagates(monkeypatch, swap, concurrent):
+    # the direction that raises is yx (the helper thread's) without the swap
+    # and xy (the calling thread's) with it
+    monkeypatch.setattr(info, "_concurrent_directions", concurrent)
+    pair = _odd_gaps(swap)
+    threads = threading.active_count()
+    with pytest.raises(InsufficientDataError, match="at lag 1"):
+        ctir(pair, CtirParams(tau_max=2))
+    assert threading.active_count() == threads
+    (est,) = compute_indices(pair, "lp", pair.T, ("ctir",))
+    assert est.status == STATUS_DEGENERATE and math.isnan(est.value_xy)
+    assert threading.active_count() == threads
