@@ -129,7 +129,7 @@ def _smallest_library_knn(emb, start, k):
     library point, a stable argsort (equal distances to the smaller library
     position) and its first k columns, as `knn_points` returns them."""
     lib = emb[start:start + k + 1]
-    dist = pairwise_distance(lib[None] - emb[:, None, :], 2.0)
+    dist = pairwise_distance(lib[None] - emb[:, None, :])
     own = np.arange(k + 1)
     dist[start + own, own] = np.inf
     idx = np.argsort(dist, axis=-1, kind="stable")[:, :k]

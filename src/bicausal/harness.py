@@ -106,9 +106,11 @@ INDEX_NAMES = tuple(INDEX_TABLE)
 
 
 def check_index_names(names) -> tuple:
-    """The requested index names as a tuple; unknown or repeated names are a
-    ValidationError."""
+    """The requested index names as a tuple; no name, an unknown name or a
+    repeated one is a ValidationError."""
     names = tuple(names)
+    if not names:
+        raise ValidationError("no indices requested")
     unknown = set(names) - set(INDEX_NAMES)
     if unknown:
         raise ValidationError(f"unknown indices: {sorted(unknown)}")
@@ -236,6 +238,8 @@ class SweepConfig:
         check_integer(self.base_seed, "base_seed", minimum=0)
         couplings = self.couplings if self.couplings is not None else desk_grid(self.simulation)
         points = tuple(normalize_point(self.simulation, c) for c in couplings)
+        if not points:
+            raise ValidationError("the coupling grid is empty")
         object.__setattr__(self, "couplings", points)
         object.__setattr__(self, "indices", check_index_names(self.indices))
 

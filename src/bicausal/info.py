@@ -3,7 +3,10 @@
 Transfer entropy via plug-in histogram entropies or via the k-nearest-
 neighbour conditional mutual information estimate (max-norm, digamma
 counts with strict radii), the shuffle-corrected effective variant, and
-the lag-averaged transinformation rate. Everything is reported in nats.
+the coarse-grained transinformation rate: the k-NN transfer entropy
+averaged over the horizons of m=1 delay matrices. Everything is reported
+in nats. Every estimator here reads delay matrices, ctir included, so
+missing samples are dropped by `embed`'s row rule only.
 
 The k-NN estimators count, per point, the other points strictly within its
 k-th neighbour distance in each marginal space (`_strict_counts`). For one-
@@ -14,13 +17,15 @@ in x_j, so the counts equal the tree's exactly. Two columns add an integer
 rectangle count over the two rank orders. Marginals of three or more columns
 use the kd-tree ball count (`_tree_counts`).
 
-`te_ksg` and `ctir` evaluate their two directions, which are independent, in
-`_both_directions`. When the process has a spare core the yx direction runs
-in one helper thread, made and joined within the call, while the calling
-thread runs xy; the kd-tree queries, sorts and `searchsorted` that do the
-work release the GIL. Each direction computes exactly what it computes
-alone, so the values do not depend on it, but the two elapsed times may
-overlap. Every other estimator runs on the calling thread only.
+`te_ksg` (one delay matrix) and `ctir` (one per horizon, all built first)
+evaluate their two directions, which are independent, in one
+`_both_directions` call of `_te_ksg_direction`. When the process has a
+spare core the yx direction runs in one helper thread, made and joined
+within the call, while the calling thread runs xy; the kd-tree queries,
+sorts and `searchsorted` that do the work release the GIL. Each direction
+computes exactly what it computes alone, so the values do not depend on
+it, but the two elapsed times may overlap. Every other estimator runs on
+the calling thread only.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .core import (
     STATUS_DEGENERATE,
     STATUS_OK,
     DelayMatrix,
+    EmbeddingSpec,
     IndexEstimate,
     SeriesPair,
     embed,
@@ -448,40 +454,39 @@ def _both_directions(fn, xy_args: tuple, yx_args: tuple):
         return xy, yx.result()
 
 
+def _te_ksg_direction(dms: list, p: KsgParams, direction: str) -> tuple[float, bool]:
+    """k-NN TE of one direction ("yx": Y -> X, "xy": X -> Y) averaged over the
+    delay matrices `dms`, and whether any of its terms was degenerate."""
+    terms = [_cmi_ksg_impl(dm.x_future, dm.y_emb, dm.x_emb, p) if direction == "yx"
+             else _cmi_ksg_impl(dm.y_future, dm.x_emb, dm.y_emb, p) for dm in dms]
+    return float(np.mean([v for v, _ in terms])), any(deg for _, deg in terms)
+
+
+def _te_ksg_estimate(index: str, dms: list, p: KsgParams) -> IndexEstimate:
+    """Both directions of `_te_ksg_direction` over `dms` as one estimate."""
+    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = _both_directions(
+        _te_ksg_direction, (dms, p, "xy"), (dms, p, "yx"))
+    status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
+    return IndexEstimate(index, v_xy, v_yx, t_xy, t_yx, status)
+
+
 def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams()) -> IndexEstimate:
     """k-NN transfer entropy: I(future; source embedding | own embedding)."""
-    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = _both_directions(
-        _cmi_ksg_impl, (dm.y_future, dm.x_emb, dm.y_emb, p),
-        (dm.x_future, dm.y_emb, dm.x_emb, p))
-    status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
-    return IndexEstimate("te_ksg", v_xy, v_yx, t_xy, t_yx, status)
+    return _te_ksg_estimate("te_ksg", [dm], p)
 
 
 def ctir(pair: SeriesPair, p: CtirParams) -> IndexEstimate:
-    """Lag-averaged conditional mutual information (net flow via D).
+    """Coarse-grained transinformation rate: the mean of te_ksg over horizons
+    tau = 1..tau_max on m=1 embeddings (net flow via D).
 
-    For each lag tau = 1..tau_max both directions evaluate
-    I(effect_{t+tau}; cause_t | effect_t); rows touching missing samples at
-    any of the three time points are dropped per lag.
+    The lag-tau term of X -> Y is I(y_{t+tau}; x_t | y_t) on the rows of
+    `embed(pair, EmbeddingSpec(m=1, h=tau))`, so at each lag both directions
+    use the same rows, and missing samples are dropped by `embed`'s rule
+    alone. With tau_max = 1 this is te_ksg at m=1.
     """
     if pair.T <= p.tau_max + 2:
         raise InsufficientDataError("series too short for the requested tau_max")
-    kp = KsgParams(k=p.k, seed=p.seed)
-
-    def one_direction(effect, cause, miss_e, miss_c):
-        vals, any_deg = [], False
-        for tau in range(1, p.tau_max + 1):
-            t = np.arange(pair.T - tau)
-            ok = ~(miss_e[t] | miss_c[t] | miss_e[t + tau])
-            if ok.sum() <= p.k:
-                raise InsufficientDataError(f"too few complete rows at lag {tau}")
-            v, deg = _cmi_ksg_impl(effect[t + tau][ok], cause[t][ok], effect[t][ok], kp)
-            vals.append(v)
-            any_deg |= deg
-        return float(np.mean(vals)), any_deg
-
-    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = _both_directions(
-        one_direction, (pair.y, pair.x, pair.y_missing, pair.x_missing),
-        (pair.x, pair.y, pair.x_missing, pair.y_missing))
-    status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
-    return IndexEstimate("ctir", v_xy, v_yx, t_xy, t_yx, status)
+    # built on the calling thread before the directions start, so a lag with
+    # no complete row raises here and no helper thread is made
+    dms = [embed(pair, EmbeddingSpec(m=1, h=tau)) for tau in range(1, p.tau_max + 1)]
+    return _te_ksg_estimate("ctir", dms, KsgParams(k=p.k, seed=p.seed))

@@ -1,16 +1,17 @@
 """Exact nearest-neighbour queries with deterministic tie-breaking.
 
-All queries run one exact algorithm (`knn_points`; `knn` is one row of it
-and `knn_all` the whole set): a kd-tree pre-selects k+1 candidates per row
-(plus the excluded member), a stable argsort of the package's own distances
-orders them (rows holding an exact equal pair by (distance, index)), and rows
-whose cut at k is a near-tie take every point within their k-th candidate
-distance, from one ball query per block of such rows. A set no larger than
-the candidate count takes the same path: the tree returns all of it. Ties in
-distance always go to the smaller point index, so every row is in exact
-(distance, index) order, also on rounded data, and the first j columns of a
-graph at k > j are the j-graph: `core.DelayMatrix.knn_graph` shares one
-graph per embedding between estimators on that prefix property.
+All queries are Euclidean and run one exact algorithm (`knn_points`; `knn`
+is one row of it and `knn_all` the whole set): a kd-tree pre-selects k+1
+candidates per row (plus the excluded member), a stable argsort of the
+package's own distances orders them (rows holding an exact equal pair by
+(distance, index)), and rows whose cut at k is a near-tie take every point
+within their k-th candidate distance, from one ball query per block of such
+rows. A set no larger than the candidate count takes the same path: the
+tree returns all of it. Ties in distance always go to the smaller point
+index, so every row is in exact (distance, index) order, also on rounded
+data, and the first j columns of a graph at k > j are the j-graph:
+`core.DelayMatrix.knn_graph` shares one graph per embedding between
+estimators on that prefix property.
 """
 
 from __future__ import annotations
@@ -23,19 +24,10 @@ from scipy.spatial import cKDTree
 
 from .errors import InsufficientPointsError, ValidationError
 
-_MINKOWSKI = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
-
 # distances this close (relative) are treated as tied and resolved exactly
 _TIE_RTOL = 1e-9
 # tie rows per ball query; bounds the Python candidate lists held at once
 _TIE_BLOCK = 256
-
-
-def metric_p(metric: str) -> float:
-    try:
-        return _MINKOWSKI[metric]
-    except KeyError:
-        raise ValidationError(f"unknown metric {metric!r}; expected one of {sorted(_MINKOWSKI)}")
 
 
 def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -61,23 +53,19 @@ def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def pairwise_distance(diff: np.ndarray, p: float) -> np.ndarray:
-    """Distance along the last axis of a difference array.
+def pairwise_distance(diff: np.ndarray) -> np.ndarray:
+    """Euclidean distance along the last axis of a difference array.
 
     This is the package's single decisive distance formula: kd-trees only
     pre-select candidates, and any ordering or tie decision is made on these
     values, keeping tie-breaking reproducible across query paths.
 
-    l2 is the square root of `_sum_sq`, which adds the squared coordinates
+    It is the square root of `_sum_sq`, which adds the squared coordinates
     one at a time, in order; for fewer than 8 coordinates that equals
     `np.sqrt((diff * diff).sum(axis=-1))` exactly, because numpy adds so
     short a contiguous axis in the same order.
     """
-    if p == 1.0:
-        return np.abs(diff).sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt(_sum_sq(diff))
-    return np.abs(diff).max(axis=-1)
+    return np.sqrt(_sum_sq(diff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,19 +98,19 @@ class PointSet:
         return self._tree
 
 
-def knn(pset: PointSet, query_index: int, k: int, metric: str = "l2",
+def knn(pset: PointSet, query_index: int, k: int, *,
         exclude_self: bool = True) -> list[tuple[int, float]]:
     """k nearest neighbours of one member point, sorted by ascending
     distance with ties broken by smaller index: row 0 of `knn_points`."""
     if (isinstance(query_index, bool) or not isinstance(query_index, (int, np.integer))
             or not 0 <= query_index < pset.n):
         raise ValidationError(f"query index must be an integer in [0, {pset.n})")
-    idx, dist = knn_points(pset, pset.points[[query_index]], k, metric,
+    idx, dist = knn_points(pset, pset.points[[query_index]], k,
                            [query_index] if exclude_self else None)
     return [(int(i), float(d)) for i, d in zip(idx[0], dist[0])]
 
 
-def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
+def knn_points(pset: PointSet, queries: np.ndarray, k: int,
                exclude_index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bulk k-NN of arbitrary query points against `pset`.
 
@@ -134,7 +122,6 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
     an exact equal pair lexsorted, and rows tied across the cut at k settled
     by a ball query.
     """
-    p = metric_p(metric)
     if k < 1:
         raise ValidationError("k must be >= 1")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -149,9 +136,9 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
 
     kq = min(k + max_excluded + 1, pset.n)
     # a range keeps the result 2-D even when kq is 1
-    _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
+    _, idx = pset.tree.query(queries, k=range(1, kq + 1))
     # decisive distances come from the package formula, not the tree's
-    dist = pairwise_distance(pset.points[idx] - queries[:, None, :], p)
+    dist = pairwise_distance(pset.points[idx] - queries[:, None, :])
     dist[idx == exclude_index[:, None]] = np.inf
     order = np.argsort(dist, axis=-1, kind="stable")
     dist = np.take_along_axis(dist, order, axis=-1)
@@ -175,8 +162,7 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
         # widened: the tree's arithmetic may disagree with pairwise_distance
         # by an ulp, and a dropped boundary point would shrink the set
         radius = radius + np.maximum(1e-12, 1e-6 * radius)
-        balls = pset.tree.query_ball_point(queries[rows], r=radius, p=p,
-                                           return_sorted=True)
+        balls = pset.tree.query_ball_point(queries[rows], r=radius, return_sorted=True)
         # the block's candidates in one array, row by row, each row's
         # candidates in index order
         lens = [len(ball) for ball in balls]
@@ -184,7 +170,7 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
         slot = np.repeat(np.arange(len(rows)), lens)
         keep = cand != exclude_index[rows[slot]]
         cand, slot = cand[keep], slot[keep]
-        d = pairwise_distance(pset.points[cand] - queries[rows[slot]], p)
+        d = pairwise_distance(pset.points[cand] - queries[rows[slot]])
         # by row, then distance; lexsort is stable, so equal distances keep
         # the index order. Each row has at least k candidates.
         order = np.lexsort((d, slot))
@@ -193,11 +179,11 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int, metric: str = "l2",
     return out_idx, out_dist
 
 
-def knn_all(pset: PointSet, k: int, metric: str = "l2",
+def knn_all(pset: PointSet, k: int, *,
             exclude_self: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """k nearest neighbours of every member point against its own set."""
     exclude = np.arange(pset.n) if exclude_self else None
-    return knn_points(pset, pset.points, k, metric, exclude)
+    return knn_points(pset, pset.points, k, exclude)
 
 
 def seeded_jitter(points: np.ndarray, scale: float, seed) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bicausal import harness
 from bicausal.cli import PRESET_IDS, _parse_grid, main
 from bicausal.harness import normalize_point, pair_from_csv, simulate_pair, sweep_from_csv
 
@@ -162,6 +163,19 @@ def test_bad_flags_exit_1(tmp_path):
     assert run_cli("sweep", "--preset", "nope", "-o", str(tmp_path)) == 1
     assert run_cli("oracle", "--lambda", "1:0:0.1", "-o", str(tmp_path)) == 1
     assert run_cli("indices", "--input", str(tmp_path / "missing.csv")) in (1, 2)
+
+
+def test_sweep_without_indices_exits_1_before_simulating(tmp_path, capsys, monkeypatch):
+    # "--indices ," used to simulate every unit, exit 0 and write a
+    # header-only sweep.csv that `bicausal report` rejects
+    def simulate_units(*args, **kwargs):
+        raise AssertionError("the sweep simulated a unit")
+
+    monkeypatch.setattr(harness, "simulate_units", simulate_units)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--preset", "ulam-1e3", "--indices", ",", "-o", str(out)) == 1
+    assert "no indices requested" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SWEEP_HEADER = "simulation,lambda_xy,lambda_yx,run,index,direction,value,elapsed_seconds,status\n"

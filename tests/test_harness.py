@@ -261,6 +261,17 @@ def test_config_validation():
         SweepConfig(simulation="lp", indices=("te_hist", "te_hist"))
 
 
+def test_empty_index_list_or_grid_is_validation_error():
+    # an empty grid used to run and return no records, and an empty index
+    # list to simulate every unit for a header-only sweep.csv
+    with pytest.raises(ValidationError, match="no indices requested"):
+        harness.check_index_names([])
+    with pytest.raises(ValidationError, match="no indices requested"):
+        SweepConfig(simulation="ulam", indices=())
+    with pytest.raises(ValidationError, match="coupling grid is empty"):
+        SweepConfig(simulation="ulam", couplings=())
+
+
 # each used to raise a TypeError or numpy's or math's ValueError (a negative
 # seed, at the first generator), or to be accepted (T=True simulated one
 # sample, decimals=1.5 rounded)

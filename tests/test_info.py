@@ -276,12 +276,49 @@ def test_ctir_independent_near_zero():
     assert abs(est.value_yx) < 0.02 and abs(est.value_xy) < 0.02
 
 
+def _lp_with_gaps(seed: int) -> SeriesPair:
+    return apply_perturbation(sim_lp(LpParams(lam=0.5, T=2000, seed=seed)),
+                              PerturbationSpec(kind="missing", fraction=0.1, seed=3))
+
+
 def test_ctir_single_lag_equals_te_ksg():
-    pair = sim_lp(LpParams(lam=0.5, T=2000, seed=15))
-    a = ctir(pair, CtirParams(tau_max=1, k=4))
-    b = te_ksg(embed(pair, EmbeddingSpec(m=1, tau=1, h=1)))
-    assert a.value_yx == b.value_yx
-    assert a.value_xy == b.value_xy
+    # with missing samples too: ctir's lag-1 rows are embed's rows
+    for pair in (sim_lp(LpParams(lam=0.5, T=2000, seed=15)), _lp_with_gaps(15)):
+        a = ctir(pair, CtirParams(tau_max=1, k=4))
+        b = te_ksg(embed(pair, EmbeddingSpec(m=1, tau=1, h=1)))
+        assert (a.value_xy, a.value_yx, a.status) == (b.value_xy, b.value_yx, b.status)
+
+
+def test_ctir_is_mean_of_te_ksg_over_horizons():
+    # on missing data each lag keeps the rows of its own m=1 embedding, the
+    # same rows in both directions
+    pair = _lp_with_gaps(21)
+    est = ctir(pair, CtirParams(tau_max=3, k=4))
+    terms = [te_ksg(embed(pair, EmbeddingSpec(m=1, h=tau))) for tau in (1, 2, 3)]
+    assert est.value_xy == np.mean([t.value_xy for t in terms])
+    assert est.value_yx == np.mean([t.value_yx for t in terms])
+
+
+def _ctir_from_shifted_slices(pair: SeriesPair, p: CtirParams) -> tuple[float, float]:
+    """ctir of complete series from the public cmi_ksg: the lag-tau term of
+    cause -> effect is I(effect[tau:]; cause[:-tau] | effect[:-tau])."""
+    kp = KsgParams(k=p.k, seed=p.seed)
+
+    def mean(effect, cause):
+        return np.mean([cmi_ksg(effect[tau:], cause[:-tau], effect[:-tau], kp)
+                        for tau in range(1, p.tau_max + 1)])
+
+    return mean(pair.y, pair.x), mean(pair.x, pair.y)
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 0], ids=["raw", "round1", "round0"])
+def test_ctir_equals_cmi_ksg_on_shifted_slices(decimals):
+    pair = sim_lp(LpParams(lam=0.3, T=2000, seed=20))
+    if decimals is not None:
+        pair = apply_perturbation(pair, PerturbationSpec(kind="round", decimals=decimals))
+    p = CtirParams(tau_max=5, k=4)
+    est = ctir(pair, p)
+    assert (est.value_xy, est.value_yx) == _ctir_from_shifted_slices(pair, p)
 
 
 def test_ctir_requires_length():
@@ -360,26 +397,47 @@ def test_concurrent_directions_equal_serial(monkeypatch, case):
             assert est.elapsed_xy > 0 and est.elapsed_yx > 0
 
 
-def _odd_gaps(swap: bool) -> SeriesPair:
-    # x missing at every odd t: each lag-1 row of the Y -> X direction
-    # (effect x at t and t+1) touches a gap, while X -> Y keeps the even rows
-    pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
-    x = pair.x.copy()
-    x[1::2] = np.nan
-    return SeriesPair(pair.y, x) if swap else SeriesPair(x, pair.y)
-
-
 @pytest.mark.parametrize("swap", [False, True], ids=["helper-thread", "main-thread"])
 @pytest.mark.parametrize("concurrent", [False, True])
 def test_ctir_direction_error_propagates(monkeypatch, swap, concurrent):
-    # the direction that raises is yx (the helper thread's) without the swap
-    # and xy (the calling thread's) with it
+    # ctir's per-direction function through `_both_directions`, with one
+    # direction given a lag matrix of fewer than k+1 rows: yx (the helper
+    # thread's when concurrent) without the swap, xy (the calling thread's)
+    # with it
     monkeypatch.setattr(info, "_concurrent_directions", concurrent)
-    pair = _odd_gaps(swap)
+    pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
+    good = [embed(pair, EmbeddingSpec(m=1, h=tau)) for tau in (1, 2)]
+    short = good + [embed(SeriesPair(pair.x[:4], pair.y[:4]), EmbeddingSpec(m=1))]
+    raised_on_main = []
+
+    def direction(dms, p, d):
+        if dms is short:
+            raised_on_main.append(threading.current_thread() is threading.main_thread())
+        return info._te_ksg_direction(dms, p, d)
+
+    xy, yx = (short, good) if swap else (good, short)
     threads = threading.active_count()
-    with pytest.raises(InsufficientDataError, match="at lag 1"):
-        ctir(pair, CtirParams(tau_max=2))
+    with pytest.raises(InsufficientPointsError):
+        info._both_directions(direction, (xy, KsgParams(), "xy"), (yx, KsgParams(), "yx"))
+    assert raised_on_main == [swap or not concurrent]
     assert threading.active_count() == threads
+
+
+def test_ctir_no_complete_row_at_lag_one(monkeypatch):
+    # x missing at every odd t: no lag-1 row has x at both t and t+1, so the
+    # lag-1 embed raises on the calling thread before the directions start
+    pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
+    x = pair.x.copy()
+    x[1::2] = np.nan
+    pair = SeriesPair(x, pair.y)
+
+    def no_directions(*args):
+        raise AssertionError("the directions started")
+
+    monkeypatch.setattr(info, "_both_directions", no_directions)
+    threads = threading.active_count()
+    with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
+        ctir(pair, CtirParams(tau_max=2))
     (est,) = compute_indices(pair, "lp", pair.T, ("ctir",))
     assert est.status == STATUS_DEGENERATE and math.isnan(est.value_xy)
     assert threading.active_count() == threads

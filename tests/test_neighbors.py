@@ -13,26 +13,14 @@ from bicausal.neighbors import (
     knn,
     knn_all,
     knn_points,
-    metric_p,
     pairwise_distance,
     seeded_jitter,
 )
 
-METRICS = ("l1", "l2", "linf")
-
-
-def scan_distance(diff, metric):
-    if metric == "l1":
-        return float(np.abs(diff).sum())
-    if metric == "l2":
-        return float(np.sqrt((diff * diff).sum()))
-    return float(np.abs(diff).max())
-
-
-def brute_knn(points, query, k, metric, exclude=-1):
+def brute_knn(points, query, k, exclude=-1):
     """Independent O(n) scan; ties resolved by (distance, index)."""
     dists = [
-        (scan_distance(p - query, metric), i)
+        (float(np.sqrt(((p - query) ** 2).sum())), i)
         for i, p in enumerate(points)
         if i != exclude
     ]
@@ -56,9 +44,7 @@ def test_coordinate_sums_equal_numpy_reductions(d, data):
     assert np.array_equal(_sum_sq(diff), (diff * diff).sum(axis=-1))
     assert np.array_equal(_sum_sq(a[:, None, :], b[:40]), (diff ** 2).sum(axis=-1))
     assert np.array_equal(_sum_sq(a, b[0]), ((a - b[0]) ** 2).sum(axis=-1))
-    assert np.array_equal(pairwise_distance(diff, 1.0), np.abs(diff).sum(axis=-1))
-    assert np.array_equal(pairwise_distance(diff, 2.0), np.sqrt((diff * diff).sum(axis=-1)))
-    assert np.array_equal(pairwise_distance(diff, np.inf), np.abs(diff).max(axis=-1))
+    assert np.array_equal(pairwise_distance(diff), np.sqrt((diff * diff).sum(axis=-1)))
 
 
 def test_knn_basic_1d():
@@ -66,12 +52,6 @@ def test_knn_basic_1d():
     got = knn(ps, 0, 2, exclude_self=True)
     assert [i for i, _ in got] == [1, 2]
     assert [d for _, d in got] == [1.0, 2.0]
-
-
-def test_linf_distance():
-    ps = PointSet(np.array([[0.0, 0.0], [1.0, 2.0]]))
-    (_, d), = knn(ps, 0, 1, metric="linf")
-    assert d == 2.0
 
 
 def test_duplicate_tie_order():
@@ -108,16 +88,16 @@ def test_k_below_one(call, k):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 9999), n=st.integers(5, 80), k=st.integers(1, 4),
-       metric=st.sampled_from(METRICS), dup=st.booleans())
-def test_knn_matches_brute_force(seed, n, k, metric, dup):
+       dup=st.booleans())
+def test_knn_matches_brute_force(seed, n, k, dup):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 2))
     if dup:
         pts = np.round(pts, 1)  # heavy ties
     ps = PointSet(pts)
     for qi in rng.choice(n, size=min(5, n), replace=False):
-        got = knn(ps, int(qi), k, metric, exclude_self=True)
-        want = brute_knn(ps.points, ps.points[qi], k, metric, exclude=int(qi))
+        got = knn(ps, int(qi), k, exclude_self=True)
+        want = brute_knn(ps.points, ps.points[qi], k, exclude=int(qi))
         assert [i for i, _ in got] == [i for i, _ in want]
         np.testing.assert_allclose([d for _, d in got], [d for _, d in want],
                                    rtol=1e-12, atol=1e-12)
@@ -127,9 +107,9 @@ def test_knn_all_matches_per_point_on_rounded_data():
     rng = np.random.default_rng(1)
     pts = np.round(rng.normal(size=(300, 2)), 1)
     ps = PointSet(pts)
-    idx, dist = knn_all(ps, 3, "l2")
+    idx, dist = knn_all(ps, 3)
     for qi in range(0, 300, 17):
-        want = brute_knn(pts, pts[qi], 3, "l2", exclude=qi)
+        want = brute_knn(pts, pts[qi], 3, exclude=qi)
         assert idx[qi].tolist() == [i for i, _ in want]
 
 
@@ -138,22 +118,22 @@ def test_knn_points_external_queries_with_exclusion():
     lib = rng.normal(size=(150, 3))
     queries = np.vstack([lib[10:40], rng.normal(size=(20, 3))])
     exclude = np.array([10 + i for i in range(30)] + [-1] * 20)
-    idx, dist = knn_points(PointSet(lib), queries, 4, "linf", exclude)
+    idx, dist = knn_points(PointSet(lib), queries, 4, exclude)
     for row, (q, ex) in enumerate(zip(queries, exclude)):
-        want = brute_knn(lib, q, 4, "linf", exclude=int(ex))
+        want = brute_knn(lib, q, 4, exclude=int(ex))
         assert idx[row].tolist() == [i for i, _ in want]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 9999), n=st.sampled_from((1, 2, 3, 8, 64, 65, 150)),
        k=st.integers(1, 8), dim=st.integers(1, 3), decimals=st.sampled_from((None, 1, 0)),
-       metric=st.sampled_from(METRICS), exclusion=st.sampled_from(("self", "partial", "none")))
+       exclusion=st.sampled_from(("self", "partial", "none")))
 # n=1, k=1 retrieves every point with none beyond the cut: no tie test
-@example(seed=0, n=1, k=1, dim=1, decimals=None, metric="l2", exclusion="none")
-@example(seed=0, n=66, k=64, dim=2, decimals=0, metric="linf", exclusion="self")
-@example(seed=0, n=150, k=8, dim=1, decimals=0, metric="l1", exclusion="partial")
-@example(seed=0, n=600, k=20, dim=2, decimals=0, metric="l2", exclusion="self")
-def test_knn_points_matches_scan(seed, n, k, dim, decimals, metric, exclusion):
+@example(seed=0, n=1, k=1, dim=1, decimals=None, exclusion="none")
+@example(seed=0, n=66, k=64, dim=2, decimals=0, exclusion="self")
+@example(seed=0, n=150, k=8, dim=1, decimals=0, exclusion="partial")
+@example(seed=0, n=600, k=20, dim=2, decimals=0, exclusion="self")
+def test_knn_points_matches_scan(seed, n, k, dim, decimals, exclusion):
     # both sides of 64 points, n <= k+2 (every point a candidate), kq == 1,
     # rounded data whose coincident points can crowd out the excluded one,
     # and more tie rows than one ball-query block holds (n=600)
@@ -166,11 +146,11 @@ def test_knn_points_matches_scan(seed, n, k, dim, decimals, metric, exclusion):
                "none": None}[exclusion]
     k = min(k, n - int(exclude is not None and (exclude >= 0).any()))
     assume(k >= 1)
-    idx, dist = knn_points(PointSet(pts), pts, k, metric, exclude)
+    idx, dist = knn_points(PointSet(pts), pts, k, exclude)
     assert idx.shape == dist.shape == (n, k)
     for row in range(n):
         ex = -1 if exclude is None else int(exclude[row])
-        want = brute_knn(pts, pts[row], k, metric, exclude=ex)
+        want = brute_knn(pts, pts[row], k, exclude=ex)
         assert idx[row].tolist() == [i for i, _ in want]
         np.testing.assert_allclose(dist[row], [d for _, d in want], rtol=1e-12, atol=1e-12)
 
@@ -192,31 +172,30 @@ def test_knn_points_ccm_smallest_library(m, size, decimals):
     rows = np.arange(1000)
     exclude = np.where((rows >= start) & (rows < start + n_lib), rows - start, -1)
     pset = PointSet(lib)
-    idx, dist = knn_points(pset, queries, m + 1, "l2", exclude)
+    idx, dist = knn_points(pset, queries, m + 1, exclude)
     if size == "m+4" and decimals is None:
         assert pset._tree is not None  # no tie rows: the tree pre-selected
     for row in range(1000):
-        want = brute_knn(lib, queries[row], m + 1, "l2", exclude=int(exclude[row]))
+        want = brute_knn(lib, queries[row], m + 1, exclude=int(exclude[row]))
         assert idx[row].tolist() == [i for i, _ in want]
         np.testing.assert_allclose(dist[row], [d for _, d in want], rtol=1e-12, atol=1e-12)
 
 
-def exact_neighbors_per_row(pset, queries, k, metric, exclude_index):
+def exact_neighbors_per_row(pset, queries, k, exclude_index):
     """The earlier per-row tie resolution, applied to every row: a k-NN
     query bounds the k-th distance, a radius query around it takes every
     candidate, and a stable sort of the sorted candidates breaks ties by
     index."""
-    p = metric_p(metric)
     out_idx, out_dist = [], []
     for query, exclude in zip(queries, exclude_index):
         kq = min(k + (1 if exclude >= 0 else 0), pset.n)
-        d_cand, _ = pset.tree.query(query, k=kq, p=p)
+        d_cand, _ = pset.tree.query(query, k=kq)
         radius = float(np.max(d_cand))
         radius += max(1e-12, 1e-6 * radius)
-        cand = np.array(sorted(pset.tree.query_ball_point(query, r=radius, p=p)), dtype=int)
+        cand = np.array(sorted(pset.tree.query_ball_point(query, r=radius)), dtype=int)
         if exclude >= 0:
             cand = cand[cand != exclude]
-        dist = pairwise_distance(pset.points[cand] - query, p)
+        dist = pairwise_distance(pset.points[cand] - query)
         chosen = np.argsort(dist, kind="stable")[:k]
         out_idx.append(cand[chosen])
         out_dist.append(dist[chosen])
@@ -240,25 +219,24 @@ def test_knn_points_equals_per_row_resolution_on_rounded_embeddings(simulation, 
         pset, n = PointSet(pts), len(pts)
         for exclude in (np.arange(n), np.where(rng.random(n) < 0.5, np.arange(n), -1),
                         np.full(n, -1)):
-            got = knn_points(pset, pts, k, "l2", exclude)
-            want = exact_neighbors_per_row(pset, pts, k, "l2", exclude)
+            got = knn_points(pset, pts, k, exclude)
+            want = exact_neighbors_per_row(pset, pts, k, exclude)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
 
-def lexsort_knn_points(pset, queries, k, metric, exclude_index):
+def lexsort_knn_points(pset, queries, k, exclude_index):
     """The full-lexsort ordering `knn_points` had before its stable argsort:
     the same candidates, every row ordered by `lexsort((idx, dist))`, and
     rows tied across the cut resolved per row."""
-    p = metric_p(metric)
     nq = len(queries)
     exclude_index = np.full(nq, -1) if exclude_index is None else np.asarray(exclude_index)
     kq = min(k + int((exclude_index >= 0).any()) + 1, pset.n)
     if kq == pset.n:
         idx = np.broadcast_to(np.arange(pset.n), (nq, pset.n))
     else:
-        _, idx = pset.tree.query(queries, k=range(1, kq + 1), p=p)
-    dist = pairwise_distance(pset.points[idx] - queries[:, None, :], p)
+        _, idx = pset.tree.query(queries, k=range(1, kq + 1))
+    dist = pairwise_distance(pset.points[idx] - queries[:, None, :])
     dist[idx == exclude_index[:, None]] = np.inf
     order = np.lexsort((idx, dist), axis=-1)
     dist = np.take_along_axis(dist, order, axis=-1)
@@ -268,7 +246,7 @@ def lexsort_knn_points(pset, queries, k, metric, exclude_index):
         tie = np.nonzero(dist[:, k] - dist[:, k - 1] <= 1e-9 * dist[:, k])[0]
         if len(tie):
             out_idx[tie], out_dist[tie] = exact_neighbors_per_row(
-                pset, queries[tie], k, metric, exclude_index[tie])
+                pset, queries[tie], k, exclude_index[tie])
     return out_idx, out_dist
 
 
@@ -302,15 +280,14 @@ def ordering_cases():
             yield lib, queries, m + 1, np.where(inside, rows - 100, -1)
 
 
-@pytest.mark.parametrize("metric", METRICS)
-def test_knn_points_matches_full_lexsort_ordering(metric):
+def test_knn_points_matches_full_lexsort_ordering():
     # the stable argsort re-sorts only rows with an exact equal pair (and no
     # row when every point is a candidate); outputs must equal a full
     # (distance, index) lexsort of every row
     for pts, queries, k, exclude in ordering_cases():
         pset = PointSet(pts)
-        got = knn_points(pset, queries, k, metric, exclude)
-        want = lexsort_knn_points(pset, queries, k, metric, exclude)
+        got = knn_points(pset, queries, k, exclude)
+        want = lexsort_knn_points(pset, queries, k, exclude)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -353,17 +330,21 @@ def test_count_within_examples():
     assert strict_count(pts, 0, np.nextafter(2.0, np.inf)) - strict_count(pts, 0, 2.0) == 1
 
 
+def kth_max_norm_distance(points, qi, k):
+    """Distance from point qi to its k-th nearest other point, max-norm."""
+    return np.sort(np.delete(np.abs(points - points[qi]).max(axis=1), qi))[k - 1]
+
+
 def test_count_within_at_kth_distance():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(200, 2))
-    ps = PointSet(pts)
     k = 6
     for qi in (0, 57, 133):
-        d_k = knn(ps, qi, k, "linf")[-1][1]
+        d_k = kth_max_norm_distance(pts, qi, k)
         assert strict_count(pts, qi, d_k) == k - 1
     # ties at the k-th distance push the strict count below k-1
     tied = np.array([[0.0], [1.0], [1.0], [1.0], [5.0]])
-    d_k = knn(PointSet(tied), 0, 3, "linf")[-1][1]
+    d_k = kth_max_norm_distance(tied, 0, 3)
     assert d_k == 1.0
     assert strict_count(tied, 0, d_k) == 0
 
