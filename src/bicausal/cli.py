@@ -16,8 +16,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import harness, oracle
 from .core import STATUS_OK
 from .errors import BicausalError, ValidationError
@@ -231,14 +229,10 @@ def _cmd_indices(args) -> int:
     simulation, T = PRESET_IDS[args.preset]
     estimates = harness.compute_indices(pair, simulation, T, _indices_list(args.indices))
     out = os.path.join(_outdir(args), "indices.csv")
-    with open(out, "w") as fh:
-        fh.write("index,direction,value,elapsed_seconds,status\n")
-        for est in estimates:
-            for direction in ("xy", "yx"):
-                value = est.value(direction)
-                value_txt = "NA" if not np.isfinite(value) else repr(value)
-                elapsed = est.elapsed_xy if direction == "xy" else est.elapsed_yx
-                fh.write(f"{est.index},{direction},{value_txt},{elapsed!r},{est.status}\n")
+    harness.write_csv(out, ["index", "direction", "value", "elapsed_seconds", "status"], (
+        [est.index, direction, est.value(direction),
+         est.elapsed_xy if direction == "xy" else est.elapsed_yx, est.status]
+        for est in estimates for direction in ("xy", "yx")))
     print(out)
     if all(est.status != STATUS_OK for est in estimates):
         return 2
@@ -308,21 +302,19 @@ def _cmd_oracle(args) -> int:
     unknown = set(kv) - allowed
     if unknown:
         raise ValidationError(f"unknown linear-process keys: {sorted(unknown)}")
-    header = "lambda,te_yx,te_xy"
+    header = ["lambda", "te_yx", "te_xy"]
     if args.tau_max is not None:
-        header += ",ctir_yx,ctir_xy"
+        header += ["ctir_yx", "ctir_xy"]
     rows = []
     for lam in _parse_grid(args.lam_grid):
         p = LpParams(lam=lam, T=1, **kv)
-        row = [repr(lam), repr(oracle.te_lp_analytic(p, "yx")),
-               repr(oracle.te_lp_analytic(p, "xy"))]
+        row = [lam, oracle.te_lp_analytic(p, "yx"), oracle.te_lp_analytic(p, "xy")]
         if args.tau_max is not None:
-            row += [repr(oracle.ctir_lp_analytic(p, args.tau_max, "yx")),
-                    repr(oracle.ctir_lp_analytic(p, args.tau_max, "xy"))]
-        rows.append(",".join(row))
+            row += [oracle.ctir_lp_analytic(p, args.tau_max, "yx"),
+                    oracle.ctir_lp_analytic(p, args.tau_max, "xy")]
+        rows.append(row)
     out = os.path.join(_outdir(args), "oracle.csv")
-    with open(out, "w") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+    harness.write_csv(out, header, rows)
     print(out)
     return 0
 

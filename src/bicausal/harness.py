@@ -5,12 +5,14 @@ presets, correlation matrices, timing summaries and CSV/manifest persistence.
 simulate path, serves `simulate_pair` and every sweep unit.
 `INDEX_TABLE` gives, for each of the ten indices, the embedding it reads and
 the estimator call, with its preset parameters, that computes it;
-`compute_indices` runs the requested entries on one pair. si1 and si2 share
-one entry, so one `crossmap.si_pair` call yields both, and a lone request
-builds the neighbour graphs at its own R only. pi, si and ccm share one kNN
-graph per series and embedding dimension per call: the call's delay matrices
-keep them (`DelayMatrix.knn_graph`), and the graph readers run last, largest
-k first, so each graph is built once, by the reader that reads all of it.
+`compute_indices` runs the requested entries on one pair and builds each
+delay matrix once: te_hist, ete_hist, te_ksg and ctir read the same m=1
+matrix. si1 and si2 share one entry, so one `crossmap.si_pair` call yields
+both, and a lone request builds the neighbour graphs at its own R only.
+pi, si and ccm share one kNN graph per series and embedding dimension per
+call: the call's delay matrices keep them (`DelayMatrix.knn_graph`), and the
+graph readers run last, largest k first, so each graph is built once, by the
+reader that reads all of it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy
-from scipy.stats import spearmanr
 
 from . import __version__, crossmap, info, regress, simulate
 from .core import (
@@ -77,16 +78,17 @@ def _entry(simulation: str) -> Simulation:
     return SIMULATION_TABLE[simulation]
 
 
-# name -> (embedding dimension, call(data, presets, names), graph k).
-# The dimension is a preset key or a fixed m, and the call gets that delay
-# matrix; None gives the call the pair itself. `names` are the requested
-# indices. Each call looks its estimator up on the module when it runs, never
-# binding it at import, so that wrappers placed on the module attribute
-# (perfbench/tracing.py times each layer that way) see every call. si1 and si2
-# share one entry, which runs once per pair at the R of the requested ones
-# only. graph k(presets, names) is the k an entry reads from the x and y kNN
-# graphs of its matrix, None for an entry that reads none; it orders the
-# calls: graph readers run last, largest k first.
+# name -> (embedding dimension, call(dm, presets, names), graph k).
+# The dimension is a preset key or a fixed m, and the call gets that horizon-1
+# delay matrix (ctir reads te_ksg's m=1 matrix and embeds its later horizons
+# itself). `names` are the requested indices. Each call looks its estimator up
+# on the module when it runs, never binding it at import, so that wrappers
+# placed on the module attribute (perfbench/tracing.py times each layer that
+# way) see every call. si1 and si2 share one entry, which runs once per pair
+# at the R of the requested ones only. graph k(presets, names) is the k an
+# entry reads from the x and y kNN graphs of its matrix, None for an entry
+# that reads none; it orders the calls: graph readers run last, largest k
+# first.
 _SI = ("m", lambda dm, ps, names: crossmap.si_pair(
     dm, *(ps[n] for n in ("si1", "si2") if n in names)),
     lambda ps, names: max(ps[n].R for n in ("si1", "si2") if n in names))
@@ -97,7 +99,7 @@ INDEX_TABLE = {
     "te_hist": (1, lambda dm, ps, _: info.te_hist(dm, ps["te_hist"]), None),
     "ete_hist": (1, lambda dm, ps, _: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"]), None),
     "te_ksg": (1, lambda dm, ps, _: info.te_ksg(dm, ps["te_ksg"]), None),
-    "ctir": (None, lambda pair, ps, _: info.ctir(pair, ps["ctir"]), None),
+    "ctir": (1, lambda dm, ps, _: info.ctir(dm, ps["ctir"]), None),
     "si1": _SI,
     "si2": _SI,
     "ccm": ("m", lambda dm, ps, _: crossmap.ccm(dm, ps["ccm"]), lambda ps, _: ps["m"] + 1),
@@ -260,8 +262,6 @@ class Record:
 @dataclass
 class SweepResult:
     simulation: str
-    T: int
-    runs: int
     records: list
 
     def grid_points(self) -> list:
@@ -350,7 +350,7 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
     for m, call, _ in entries:
         m = presets[m] if isinstance(m, str) else m
         try:
-            result = call(pair if m is None else dm_for(m), presets, indices)
+            result = call(dm_for(m), presets, indices)
         except BicausalError:
             continue
         for est in result if isinstance(result, tuple) else (result,):
@@ -429,7 +429,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         done = [_run_chunk(cfg, chunk) for chunk in chunks]
     records = [rec for chunk in done for rec in chunk]
     records.sort(key=lambda r: (r.lambda_xy, r.lambda_yx, r.run, r.index, r.direction))
-    return SweepResult(cfg.simulation, _sim_length(cfg), cfg.runs, records)
+    return SweepResult(cfg.simulation, records)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +464,9 @@ def corr_matrix(res: SweepResult, kind: str = "pearson",
     direction's raw estimates (pass direction="xy"/"yx"). Undefined entries
     (constant or empty columns) are NaN. Returns (names, matrix).
     """
+    # imported here: scipy.stats is slow to import and only this reads it
+    from scipy.stats import spearmanr
+
     if kind not in ("pearson", "spearman"):
         raise ValidationError(f"unknown correlation kind {kind!r}")
     names = res.index_names()
@@ -509,18 +512,22 @@ def corr_matrix(res: SweepResult, kind: str = "pearson",
 # persistence
 
 
-def _fmt(value: float) -> str:
-    return "NA" if not np.isfinite(value) else repr(float(value))
+def write_csv(path, header, rows):
+    """A headered CSV file, written by `csv.writer`: every float cell as
+    repr(float(v)), or NA when it is not finite; other cells as they are."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [(repr(float(v)) if math.isfinite(v) else "NA") if isinstance(v, float) else v
+             for v in row]
+            for row in rows)
 
 
 def sweep_to_csv(res: SweepResult, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in res.records:
-            writer.writerow([r.simulation, repr(r.lambda_xy), repr(r.lambda_yx),
-                             r.run, r.index, r.direction, _fmt(r.value),
-                             repr(r.elapsed_seconds), r.status])
+    write_csv(path, CSV_HEADER, (
+        [r.simulation, r.lambda_xy, r.lambda_yx, r.run, r.index, r.direction, r.value,
+         r.elapsed_seconds, r.status] for r in res.records))
 
 
 def _csv_rows(path, what: str):
@@ -561,46 +568,29 @@ def sweep_from_csv(path) -> SweepResult:
                 float(elapsed), status))
     if not records:
         raise ValidationError("empty sweep CSV")
-    sim = records[0].simulation
-    runs = max(r.run for r in records) + 1
-    return SweepResult(sim, T=-1, runs=runs, records=records)
+    return SweepResult(records[0].simulation, records)
 
 
 def corr_to_csv(names, matrix, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + list(names))
-        for name, row in zip(names, matrix):
-            writer.writerow([name] + [_fmt(v) for v in row])
+    write_csv(path, ["index", *names], ([name, *row] for name, row in zip(names, matrix)))
 
 
 def fg_to_csv(summary, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "f", "g"])
-        for index, fg in summary.stats.items():
-            writer.writerow([index, _fmt(fg.f), _fmt(fg.g)])
+    write_csv(path, ["index", "f", "g"],
+              ([index, fg.f, fg.g] for index, fg in summary.stats.items()))
 
 
 def timing_to_csv(table: dict, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "mean_seconds", "std_seconds"])
-        for index in INDEX_NAMES:
-            if index in table:
-                mean, std = table[index]
-                writer.writerow([index, repr(mean), repr(std)])
+    write_csv(path, ["index", "mean_seconds", "std_seconds"],
+              ([index, *table[index]] for index in INDEX_NAMES if index in table))
 
 
 def pair_to_csv(pair: SeriesPair, path):
     """Headered t,x,y rows; missing samples are empty cells."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y"])
-        for t in range(pair.T):
-            x = "" if pair.x_missing[t] else repr(float(pair.x[t]))
-            y = "" if pair.y_missing[t] else repr(float(pair.y[t]))
-            writer.writerow([t, x, y])
+    write_csv(path, ["t", "x", "y"], (
+        [t, "" if mx else x, "" if my else y]
+        for t, (x, y, mx, my) in enumerate(zip(pair.x.tolist(), pair.y.tolist(),
+                                                pair.x_missing, pair.y_missing))))
 
 
 def pair_from_csv(path) -> SeriesPair:

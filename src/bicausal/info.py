@@ -5,8 +5,9 @@ neighbour conditional mutual information estimate (max-norm, digamma
 counts with strict radii), the shuffle-corrected effective variant, and
 the coarse-grained transinformation rate: the k-NN transfer entropy
 averaged over the horizons of m=1 delay matrices. Everything is reported
-in nats. Every estimator here reads delay matrices, ctir included, so
-missing samples are dropped by `embed`'s row rule only.
+in nats. Every estimator here reads delay matrices: ctir reads te_ksg's
+horizon-1 matrix and embeds its further horizons from the matrix's own
+series and spec, so missing samples are dropped by `embed`'s row rule only.
 
 The k-NN estimators count, per point, the other points strictly within its
 k-th neighbour distance in each marginal space (`_strict_counts`). For one-
@@ -17,12 +18,13 @@ in x_j, so the counts equal the tree's exactly. Two columns add an integer
 rectangle count over the two rank orders. Marginals of three or more columns
 use the kd-tree ball count (`_tree_counts`).
 
-`te_ksg` (one delay matrix) and `ctir` (one per horizon, all built first)
-evaluate their two directions, which are independent, in one
-`_both_directions` call of `_te_ksg_direction`. When the process has a
-spare core the yx direction runs in one helper thread, made and joined
-within the call, while the calling thread runs xy; the kd-tree queries,
-sorts and `searchsorted` that do the work release the GIL. Each direction
+`te_ksg` (one delay matrix) and `ctir` (one per horizon: the given matrix,
+then the later horizons, all built first) evaluate their two directions,
+which are independent, in one `_both_directions` call of
+`_te_ksg_direction`. When the process has a spare core the yx direction
+runs in one helper thread, made and joined within the call, while the
+calling thread runs xy; the kd-tree queries, sorts and `searchsorted` that
+do the work release the GIL. Each direction
 computes exactly what it computes alone, so the values do not depend on
 it, but the two elapsed times may overlap. Every other estimator runs on
 the calling thread only.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,7 +45,6 @@ from .core import (
     STATUS_DEGENERATE,
     STATUS_OK,
     DelayMatrix,
-    EmbeddingSpec,
     IndexEstimate,
     SeriesPair,
     embed,
@@ -111,16 +112,15 @@ class EteParams:
 
 
 @dataclass(frozen=True)
-class CtirParams:
+class CtirParams(KsgParams):
+    """te_ksg's settings plus the largest horizon averaged over."""
+
     tau_max: int = 5
-    k: int = 4
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.tau_max < 1:
             raise ValidationError("tau_max must be >= 1")
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +475,21 @@ def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams()) -> IndexEstimate:
     return _te_ksg_estimate("te_ksg", [dm], p)
 
 
-def ctir(pair: SeriesPair, p: CtirParams) -> IndexEstimate:
+def ctir(dm: DelayMatrix, p: CtirParams) -> IndexEstimate:
     """Coarse-grained transinformation rate: the mean of te_ksg over horizons
-    tau = 1..tau_max on m=1 embeddings (net flow via D).
+    tau = 1..tau_max (net flow via D), read from a horizon-1 delay matrix
+    (m=1 in the presets, te_ksg's own matrix).
 
-    The lag-tau term of X -> Y is I(y_{t+tau}; x_t | y_t) on the rows of
-    `embed(pair, EmbeddingSpec(m=1, h=tau))`, so at each lag both directions
+    The lag-1 term is te_ksg's on `dm`; the lag-tau term is te_ksg's on
+    `embed(dm.source, replace(dm.spec, h=tau))`. At each lag both directions
     use the same rows, and missing samples are dropped by `embed`'s rule
-    alone. With tau_max = 1 this is te_ksg at m=1.
+    alone. With tau_max = 1 this is te_ksg on `dm`.
     """
-    if pair.T <= p.tau_max + 2:
+    if dm.spec.h != 1:
+        raise ValidationError(f"ctir reads a horizon-1 delay matrix, got h={dm.spec.h}")
+    if dm.source.T <= p.tau_max + 2:
         raise InsufficientDataError("series too short for the requested tau_max")
     # built on the calling thread before the directions start, so a lag with
     # no complete row raises here and no helper thread is made
-    dms = [embed(pair, EmbeddingSpec(m=1, h=tau)) for tau in range(1, p.tau_max + 1)]
-    return _te_ksg_estimate("ctir", dms, KsgParams(k=p.k, seed=p.seed))
+    dms = [dm] + [embed(dm.source, replace(dm.spec, h=tau)) for tau in range(2, p.tau_max + 1)]
+    return _te_ksg_estimate("ctir", dms, p)

@@ -1,7 +1,8 @@
 """Exact nearest-neighbour queries with deterministic tie-breaking.
 
 All queries are Euclidean and run one exact algorithm (`knn_points`; `knn`
-is one row of it and `knn_all` the whole set): a kd-tree pre-selects k+1
+is one member's row of it and `knn_all` the whole set's, each member's own
+point excluded, as every estimator here wants): a kd-tree pre-selects k+1
 candidates per row (plus the excluded member), a stable argsort of the
 package's own distances orders them (rows holding an exact equal pair by
 (distance, index)), and rows whose cut at k is a near-tie take every point
@@ -98,15 +99,14 @@ class PointSet:
         return self._tree
 
 
-def knn(pset: PointSet, query_index: int, k: int, *,
-        exclude_self: bool = True) -> list[tuple[int, float]]:
-    """k nearest neighbours of one member point, sorted by ascending
-    distance with ties broken by smaller index: row 0 of `knn_points`."""
+def knn(pset: PointSet, query_index: int, k: int) -> list[tuple[int, float]]:
+    """k nearest neighbours of one member point, itself excluded, sorted by
+    ascending distance with ties broken by smaller index: row 0 of
+    `knn_points`."""
     if (isinstance(query_index, bool) or not isinstance(query_index, (int, np.integer))
             or not 0 <= query_index < pset.n):
         raise ValidationError(f"query index must be an integer in [0, {pset.n})")
-    idx, dist = knn_points(pset, pset.points[[query_index]], k,
-                           [query_index] if exclude_self else None)
+    idx, dist = knn_points(pset, pset.points[[query_index]], k, [query_index])
     return [(int(i), float(d)) for i, d in zip(idx[0], dist[0])]
 
 
@@ -179,11 +179,10 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int,
     return out_idx, out_dist
 
 
-def knn_all(pset: PointSet, k: int, *,
-            exclude_self: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest neighbours of every member point against its own set."""
-    exclude = np.arange(pset.n) if exclude_self else None
-    return knn_points(pset, pset.points, k, exclude)
+def knn_all(pset: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k nearest neighbours of every member point against its own set, each
+    point itself excluded."""
+    return knn_points(pset, pset.points, k, np.arange(pset.n))
 
 
 def seeded_jitter(points: np.ndarray, scale: float, seed) -> np.ndarray:

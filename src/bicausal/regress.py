@@ -14,6 +14,8 @@ from .neighbors import PointSet, _sum_sq, knn_all
 
 # relative floor below which a local self-fit counts as deterministic
 _EPS_FLOOR = 1e-13
+# Lloyd iterations after which kmeans stops even if assignments still move
+_KMEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,10 @@ def ols_fit(design: np.ndarray, target: np.ndarray) -> OlsResult:
                      rank < design.shape[1])
 
 
-def kmeans(points, P: int, seed=0, max_iter: int = 100) -> np.ndarray:
+def kmeans(points, P: int, seed=0) -> np.ndarray:
     """Seeded k-means: D^2-weighted init, Lloyd iterations until assignments
-    are stable; empty clusters are re-seeded at the farthest point."""
+    are stable or `_KMEANS_MAX_ITER` have run; empty clusters are re-seeded
+    at the farthest point."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -114,7 +117,7 @@ def kmeans(points, P: int, seed=0, max_iter: int = 100) -> np.ndarray:
         d2 = np.minimum(d2, _sum_sq(pts, centers[j]))
 
     assign = None
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2_all = _sum_sq(pts[:, None, :], centers)
         new_assign = d2_all.argmin(axis=1)
         for j in range(P):

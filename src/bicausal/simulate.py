@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import SeriesPair, check_integer
 from .errors import NumericalEscapeError, ValidationError
@@ -130,6 +129,17 @@ class HenonBiParams:
             raise ValidationError("init must be (x0, x1, y0, y1)")
 
 
+def _ar1(u: np.ndarray, b: float) -> np.ndarray:
+    """The AR(1) recursion out[t] = u[t] + b*out[t-1], out[0] = u[0].
+
+    Equal bit for bit to `scipy.signal.lfilter([1], [1, -b], u)`; a loop, so
+    that importing the package does not import `scipy.signal`."""
+    out = u.tolist()
+    for t in range(1, len(out)):
+        out[t] = out[t] + b * out[t - 1]
+    return np.array(out)
+
+
 def sim_lp(p: LpParams) -> SeriesPair:
     """Simulate the linear process, discarding 10^4 transient iterations."""
     rng = np.random.default_rng(p.seed)
@@ -141,11 +151,8 @@ def sim_lp(p: LpParams) -> SeriesPair:
     eps_x = rng.normal(0.0, sd_x, size=n - 1)
     eps_y = rng.normal(0.0, sd_y, size=n - 1)
 
-    # AR(1) recursions as IIR filters: out[t] = b*out[t-1] + u[t], out[0]=u[0]
-    u_y = np.concatenate(([y0], eps_y))
-    y = lfilter([1.0], [1.0, -p.b_y], u_y)
-    u_x = np.concatenate(([x0], p.lam * y[:-1] + eps_x))
-    x = lfilter([1.0], [1.0, -p.b_x], u_x)
+    y = _ar1(np.concatenate(([y0], eps_y)), p.b_y)
+    x = _ar1(np.concatenate(([x0], p.lam * y[:-1] + eps_x)), p.b_x)
 
     return SeriesPair(x[TRANSIENTS_LP:], y[TRANSIENTS_LP:])
 

@@ -112,14 +112,14 @@ def test_sweep_degenerate_never_aborts():
 
 
 def test_data_size_perturbation_resimulates():
-    base = SweepConfig(simulation="lp", couplings=(0.5,), T=400, runs=1,
-                       indices=("te_hist",))
-    bigger = SweepConfig(simulation="lp", couplings=(0.5,), T=400, runs=1,
-                         indices=("te_hist",),
+    # a data-size sweep simulates its series at the new length, and its
+    # records are those of a plain sweep at that length
+    bigger = SweepConfig(simulation="lp", couplings=(0.0, 0.5), T=400, runs=2,
+                         indices=("egc", "te_hist"),
                          perturbation=PerturbationSpec(kind="data_size", data_size=900))
-    res = run_sweep(bigger)
-    assert res.T == 900
-    assert run_sweep(base).T == 400
+    plain = dataclasses.replace(bigger, T=900, perturbation=None)
+    assert _same_records(run_sweep(bigger), run_sweep(plain))
+    assert not _same_records(run_sweep(bigger), run_sweep(dataclasses.replace(plain, T=400)))
 
 
 def test_corr_matrix_properties(small_ulam_sweep):
@@ -141,7 +141,7 @@ def test_corr_matrix_monotone_transform():
         for name, value in (("te_hist", v), ("te_ksg", float(np.exp(v)))):
             records.append(Record("lp", 0.0, round(0.05 * i, 2), 0, name, "xy", value, 0.0, "ok"))
             records.append(Record("lp", 0.0, round(0.05 * i, 2), 0, name, "yx", 0.0, 0.0, "ok"))
-    res = SweepResult("lp", 100, 1, records)
+    res = SweepResult("lp", records)
     _, spear = corr_matrix(res, "spearman", "d")
     _, pear = corr_matrix(res, "pearson", "d")
     assert spear[0, 1] == pytest.approx(1.0)
@@ -154,7 +154,7 @@ def test_corr_matrix_constant_column_is_nan():
         for name, value in (("te_hist", 1.0), ("te_ksg", float(i))):
             records.append(Record("lp", 0.0, 0.1 * i, 0, name, "xy", value, 0.0, "ok"))
             records.append(Record("lp", 0.0, 0.1 * i, 0, name, "yx", 0.0, 0.0, "ok"))
-    res = SweepResult("lp", 100, 1, records)
+    res = SweepResult("lp", records)
     names, mat = corr_matrix(res, "pearson", "d")
     i = names.index("te_hist")
     assert np.isnan(mat[i][1 - i])
@@ -194,7 +194,7 @@ def test_sweep_csv_roundtrip(tmp_path, small_ulam_sweep):
 
 
 def test_csv_na_token(tmp_path):
-    res = SweepResult("lp", 10, 1, [
+    res = SweepResult("lp", [
         Record("lp", 0.0, 0.0, 0, "egc", "xy", float("nan"), 0.0, "degenerate")])
     path = tmp_path / "na.csv"
     sweep_to_csv(res, path)
@@ -398,9 +398,9 @@ def test_sweep_escaped_simulation_is_degenerate(monkeypatch):
     escaped = [r for r in res.records if r.lambda_xy == 0.0]
     assert len(escaped) == 8
     assert all(r.status == "degenerate" and np.isnan(r.value) for r in escaped)
-    kept = SweepResult("ulam", 300, 2, [r for r in res.records if r.lambda_xy == 0.3])
+    kept = SweepResult("ulam", [r for r in res.records if r.lambda_xy == 0.3])
     assert _same_records(
-        kept, SweepResult("ulam", 300, 2, [r for r in clean.records if r.lambda_xy == 0.3]))
+        kept, SweepResult("ulam", [r for r in clean.records if r.lambda_xy == 0.3]))
     assert all(r.status == "ok" for r in kept.records)
 
 

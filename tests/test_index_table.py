@@ -35,7 +35,7 @@ def direct_estimates(pair, simulation, T) -> dict:
         "te_hist": lambda: info.te_hist(dm(1), ps["te_hist"]),
         "ete_hist": lambda: info.ete_hist(dm(1), ps["te_hist"], ps["ete_hist"]),
         "te_ksg": lambda: info.te_ksg(dm(1), ps["te_ksg"]),
-        "ctir": lambda: info.ctir(pair, ps["ctir"]),
+        "ctir": lambda: info.ctir(dm(1), ps["ctir"]),
         "si1": lambda: crossmap.si_pair(dm(ps["m"]), ps["si1"])[0],
         "si2": lambda: crossmap.si_pair(dm(ps["m"]), ps["si2"])[1],
         "ccm": lambda: crossmap.ccm(dm(ps["m"]), ps["ccm"]),
@@ -121,6 +121,21 @@ def test_si_only_larger_radius_too_large():
                                                         ("si2", STATUS_DEGENERATE)]
     with pytest.raises(InsufficientPointsError):
         crossmap.si_pair(dm, crossmap.SiParams(R=27), ps["si2"])
+
+
+def test_ctir_reads_the_shared_m1_matrix(monkeypatch):
+    # one lp unit of all ten indices builds 41 delay matrices: harness's m=1
+    # and m=2, ete_hist's 10 shuffles per direction and ctir's horizons 2..20.
+    # ctir's horizon 1 is the m=1 matrix that te_hist, ete_hist and te_ksg read
+    built = Counter()
+    for module in (harness, info):
+        def counted(pair, spec, _fn=module.embed, _name=module.__name__):
+            built[_name] += 1
+            return _fn(pair, spec)
+        monkeypatch.setattr(module, "embed", counted)
+    pair = harness.simulate_pair("lp", (0.0, 0.3), 2000, seed=0)
+    assert all(est.status == STATUS_OK for est in harness.compute_indices(pair, "lp", 2000))
+    assert built == {"bicausal.harness": 2, "bicausal.info": 20 + 19}
 
 
 def test_each_estimator_called_once_per_unit_through_its_module(monkeypatch):

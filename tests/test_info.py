@@ -272,7 +272,7 @@ def test_te_ksg_common_rescaling_invariance():
 def test_ctir_independent_near_zero():
     rng = np.random.default_rng(14)
     pair = SeriesPair(rng.normal(size=3000), rng.normal(size=3000))
-    est = ctir(pair, CtirParams(tau_max=5, k=4))
+    est = ctir(embed(pair, EmbeddingSpec(m=1)), CtirParams(tau_max=5, k=4))
     assert abs(est.value_yx) < 0.02 and abs(est.value_xy) < 0.02
 
 
@@ -284,7 +284,7 @@ def _lp_with_gaps(seed: int) -> SeriesPair:
 def test_ctir_single_lag_equals_te_ksg():
     # with missing samples too: ctir's lag-1 rows are embed's rows
     for pair in (sim_lp(LpParams(lam=0.5, T=2000, seed=15)), _lp_with_gaps(15)):
-        a = ctir(pair, CtirParams(tau_max=1, k=4))
+        a = ctir(embed(pair, EmbeddingSpec(m=1)), CtirParams(tau_max=1, k=4))
         b = te_ksg(embed(pair, EmbeddingSpec(m=1, tau=1, h=1)))
         assert (a.value_xy, a.value_yx, a.status) == (b.value_xy, b.value_yx, b.status)
 
@@ -293,7 +293,7 @@ def test_ctir_is_mean_of_te_ksg_over_horizons():
     # on missing data each lag keeps the rows of its own m=1 embedding, the
     # same rows in both directions
     pair = _lp_with_gaps(21)
-    est = ctir(pair, CtirParams(tau_max=3, k=4))
+    est = ctir(embed(pair, EmbeddingSpec(m=1)), CtirParams(tau_max=3, k=4))
     terms = [te_ksg(embed(pair, EmbeddingSpec(m=1, h=tau))) for tau in (1, 2, 3)]
     assert est.value_xy == np.mean([t.value_xy for t in terms])
     assert est.value_yx == np.mean([t.value_yx for t in terms])
@@ -302,10 +302,8 @@ def test_ctir_is_mean_of_te_ksg_over_horizons():
 def _ctir_from_shifted_slices(pair: SeriesPair, p: CtirParams) -> tuple[float, float]:
     """ctir of complete series from the public cmi_ksg: the lag-tau term of
     cause -> effect is I(effect[tau:]; cause[:-tau] | effect[:-tau])."""
-    kp = KsgParams(k=p.k, seed=p.seed)
-
     def mean(effect, cause):
-        return np.mean([cmi_ksg(effect[tau:], cause[:-tau], effect[:-tau], kp)
+        return np.mean([cmi_ksg(effect[tau:], cause[:-tau], effect[:-tau], p)
                         for tau in range(1, p.tau_max + 1)])
 
     return mean(pair.y, pair.x), mean(pair.x, pair.y)
@@ -317,14 +315,20 @@ def test_ctir_equals_cmi_ksg_on_shifted_slices(decimals):
     if decimals is not None:
         pair = apply_perturbation(pair, PerturbationSpec(kind="round", decimals=decimals))
     p = CtirParams(tau_max=5, k=4)
-    est = ctir(pair, p)
+    est = ctir(embed(pair, EmbeddingSpec(m=1)), p)
     assert (est.value_xy, est.value_yx) == _ctir_from_shifted_slices(pair, p)
 
 
 def test_ctir_requires_length():
     pair = SeriesPair(np.arange(6.0), np.arange(6.0))
     with pytest.raises(InsufficientDataError):
-        ctir(pair, CtirParams(tau_max=5))
+        ctir(embed(pair, EmbeddingSpec(m=1)), CtirParams(tau_max=5))
+
+
+def test_ctir_requires_horizon_one():
+    pair = sim_lp(LpParams(lam=0.3, T=300, seed=19))
+    with pytest.raises(ValidationError, match="horizon-1"):
+        ctir(embed(pair, EmbeddingSpec(m=1, h=2)), CtirParams(tau_max=2))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +354,8 @@ def _with_tree_counts(monkeypatch, estimate):
 ], ids=["raw", "round1", "missing"])
 def test_ctir_counts_match_tree(monkeypatch, variant):
     pair = apply_perturbation(sim_lp(LpParams(lam=0.3, T=2000, seed=16)), variant)
-    fast, tree = _with_tree_counts(monkeypatch, lambda: ctir(pair, CtirParams(tau_max=20)))
+    dm = embed(pair, EmbeddingSpec(m=1))
+    fast, tree = _with_tree_counts(monkeypatch, lambda: ctir(dm, CtirParams(tau_max=20)))
     assert (fast.value_xy, fast.value_yx, fast.status) == (tree.value_xy, tree.value_yx,
                                                            tree.status)
 
@@ -385,7 +390,7 @@ def test_concurrent_directions_equal_serial(monkeypatch, case):
     presets = harness.index_presets("lp" if case.startswith("lp") else "ulam", pair.T)
     dm = embed(pair, EmbeddingSpec(m=1))
     for estimate in (lambda: te_ksg(dm, presets["te_ksg"]),
-                     lambda: ctir(pair, presets["ctir"])):
+                     lambda: ctir(dm, presets["ctir"])):
         got = []
         for flag in (False, True):
             monkeypatch.setattr(info, "_concurrent_directions", flag)
@@ -423,13 +428,29 @@ def test_ctir_direction_error_propagates(monkeypatch, swap, concurrent):
     assert threading.active_count() == threads
 
 
-def test_ctir_no_complete_row_at_lag_one(monkeypatch):
+def test_ctir_no_complete_row_at_lag_one():
     # x missing at every odd t: no lag-1 row has x at both t and t+1, so the
-    # lag-1 embed raises on the calling thread before the directions start
+    # m=1 matrix that te_ksg and ctir read cannot be built, and
+    # compute_indices records ctir as degenerate
     pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
     x = pair.x.copy()
     x[1::2] = np.nan
     pair = SeriesPair(x, pair.y)
+    with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
+        embed(pair, EmbeddingSpec(m=1))
+    (est,) = compute_indices(pair, "lp", pair.T, ("ctir",))
+    assert est.status == STATUS_DEGENERATE and math.isnan(est.value_xy)
+
+
+def test_ctir_no_complete_row_at_a_later_lag(monkeypatch):
+    # x missing at t = 2, 3 mod 4: lag-1 rows (t = 0 mod 4) survive, but no
+    # lag-2 row has x at both t and t+2, so ctir's lag-2 embed raises on the
+    # calling thread before the directions start
+    pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
+    x = pair.x.copy()
+    x[(np.arange(600) % 4) >= 2] = np.nan
+    pair = SeriesPair(x, pair.y)
+    dm = embed(pair, EmbeddingSpec(m=1))
 
     def no_directions(*args):
         raise AssertionError("the directions started")
@@ -437,7 +458,7 @@ def test_ctir_no_complete_row_at_lag_one(monkeypatch):
     monkeypatch.setattr(info, "_both_directions", no_directions)
     threads = threading.active_count()
     with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
-        ctir(pair, CtirParams(tau_max=2))
+        ctir(dm, CtirParams(tau_max=2))
     (est,) = compute_indices(pair, "lp", pair.T, ("ctir",))
     assert est.status == STATUS_DEGENERATE and math.isnan(est.value_xy)
     assert threading.active_count() == threads

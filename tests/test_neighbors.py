@@ -49,21 +49,21 @@ def test_coordinate_sums_equal_numpy_reductions(d, data):
 
 def test_knn_basic_1d():
     ps = PointSet(np.array([0.0, 1.0, 2.0, 10.0]))
-    got = knn(ps, 0, 2, exclude_self=True)
+    got = knn(ps, 0, 2)
     assert [i for i, _ in got] == [1, 2]
     assert [d for _, d in got] == [1.0, 2.0]
 
 
 def test_duplicate_tie_order():
     ps = PointSet(np.array([5.0, 5.0, 5.0, 9.0]))
-    got = knn(ps, 2, 2, exclude_self=True)
+    got = knn(ps, 2, 2)
     assert got[0] == (0, 0.0) and got[1] == (1, 0.0)
 
 
 def test_knn_insufficient_points():
     ps = PointSet(np.array([1.0, 2.0]))
     with pytest.raises(InsufficientPointsError):
-        knn(ps, 0, 2, exclude_self=True)
+        knn(ps, 0, 2)
 
 
 @pytest.mark.parametrize("query_index", [-1, 4, 1.0, True, "0"])
@@ -96,7 +96,7 @@ def test_knn_matches_brute_force(seed, n, k, dup):
         pts = np.round(pts, 1)  # heavy ties
     ps = PointSet(pts)
     for qi in rng.choice(n, size=min(5, n), replace=False):
-        got = knn(ps, int(qi), k, exclude_self=True)
+        got = knn(ps, int(qi), k)
         want = brute_knn(ps.points, ps.points[qi], k, exclude=int(qi))
         assert [i for i, _ in got] == [i for i, _ in want]
         np.testing.assert_allclose([d for _, d in got], [d for _, d in want],

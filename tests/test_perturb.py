@@ -94,7 +94,7 @@ def test_spec_validation():
 # f/g summaries over synthetic sweeps
 
 
-def synthetic_sweep(d_values, simulation="ulam", runs=2):
+def synthetic_sweep(d_values, simulation="ulam"):
     """Build a SweepResult whose directed index per (lam, run) is given."""
     records = []
     for lam, per_run in d_values.items():
@@ -103,7 +103,7 @@ def synthetic_sweep(d_values, simulation="ulam", runs=2):
                                   d, 0.0, "ok"))
             records.append(Record(simulation, lam, 0.0, run, "te_hist", "yx",
                                   0.0, 0.0, "ok"))
-    return SweepResult(simulation, 1000, runs, records)
+    return SweepResult(simulation, records)
 
 
 def test_fg_identity():

@@ -1,5 +1,11 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from bicausal import (
     HenonBiParams,
@@ -34,6 +40,43 @@ def test_lp_stationary_variance():
     pair = sim_lp(p)
     target = p.var_y / (1 - p.b_y**2)
     assert abs(pair.y.var() - target) < 0.02 * target
+
+
+def _lp_by_lfilter(p: LpParams):
+    """The linear process from sim_lp's draws, its two AR(1) recursions run
+    as IIR filters."""
+    rng = np.random.default_rng(p.seed)
+    n = p.T + simulate.TRANSIENTS_LP
+    sd_x, sd_y = math.sqrt(p.var_x), math.sqrt(p.var_y)
+    x0, y0 = rng.normal(0.0, sd_x), rng.normal(0.0, sd_y)
+    eps_x = rng.normal(0.0, sd_x, size=n - 1)
+    eps_y = rng.normal(0.0, sd_y, size=n - 1)
+    y = lfilter([1.0], [1.0, -p.b_y], np.concatenate(([y0], eps_y)))
+    x = lfilter([1.0], [1.0, -p.b_x], np.concatenate(([x0], p.lam * y[:-1] + eps_x)))
+    return x[simulate.TRANSIENTS_LP:], y[simulate.TRANSIENTS_LP:]
+
+
+@pytest.mark.parametrize("b_x, b_y", [(0.8, 0.4), (0.4, 0.8), (0.8, 0.8), (-0.5, 0.95)])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_lp_equals_lfilter_recursion(b_x, b_y, lam):
+    for seed, T in ((0, 2000), (1, 2000), (2, 100_000)):
+        p = LpParams(lam=lam, b_x=b_x, b_y=b_y, T=T, seed=seed)
+        x, y = _lp_by_lfilter(p)
+        pair = sim_lp(p)
+        assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # both are slow to import; only corr_matrix's spearmanr reads scipy.stats
+    code = ("import sys, bicausal; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    # the package as the tests import it, also where it is not installed
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_lp_validation():
