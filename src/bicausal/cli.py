@@ -218,7 +218,7 @@ def _cmd_simulate(args) -> int:
         coupling = (coupling, args.coupling_yx)
     point = harness.normalize_point(simulation, coupling)
     pair = harness.simulate_pair(simulation, point, T, args.seed)
-    out = os.path.join(_outdir(args), f"{simulation}_series.csv")
+    out = os.path.join(_outdir(args), f"{args.preset}_series.csv")
     harness.pair_to_csv(pair, out)
     print(out)
     return 0
@@ -322,10 +322,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_report(args) -> int:
     res = harness.sweep_from_csv(args.input)
     outdir = _outdir(args)
-    statistic = "d" if args.statistic == "d" else "value"
-    direction = None if args.statistic == "d" else args.statistic
     for kind in ("pearson", "spearman"):
-        names, mat = harness.corr_matrix(res, kind, statistic, direction)
+        names, mat = harness.corr_matrix(res, kind, args.statistic)
         harness.corr_to_csv(names, mat, os.path.join(outdir, f"corr_{kind}.csv"))
     harness.timing_to_csv(harness.timing_table(res), os.path.join(outdir, "timing.csv"))
     print(outdir)

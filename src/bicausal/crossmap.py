@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
+from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, check_integer
 from .errors import InsufficientPointsError, ValidationError
 from .neighbors import PointSet, _sum_sq, knn_all, knn_points, pairwise_distance
 
@@ -19,8 +20,7 @@ class SiParams:
     R: int = 20
 
     def __post_init__(self):
-        if self.R < 1:
-            raise ValidationError("need at least one neighbour")
+        check_integer(self.R, "R")
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,10 @@ class CcmParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_t < 1:
-            raise ValidationError("need at least one segment per size")
+        check_integer(self.n_t, "n_t")
+        check_integer(self.seed, "seed", minimum=0)
+        if not math.isfinite(self.delta_rho):
+            raise ValidationError("delta_rho must be finite")
 
 
 def _mean_sq_dist_to_all(emb: np.ndarray) -> np.ndarray:
@@ -51,10 +53,8 @@ def _mean_sq_dist_to_all(emb: np.ndarray) -> np.ndarray:
     return total / (n - 1)
 
 
-def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
-            p2: SiParams | None = None) -> tuple[IndexEstimate, IndexEstimate]:
-    """Both similarity indices at once: si1 with p.R neighbours, si2 with
-    p2.R (default p.R).
+def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, IndexEstimate]:
+    """Both similarity indices with p.R neighbours, (si1, si2).
 
     With own-space neighbour distances r^R(t), cross-mapped distances
     r^R(t | other) (distances to the points picked by the *other* series'
@@ -64,30 +64,26 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
         si2 = mean log( r^R(t) / r^R(t | other) )
 
     Squared euclidean distances throughout; identical series give si2 = 0.
-    One kNN graph per series at the larger R (the matrix's own, see
-    `DelayMatrix.knn_graph`) serves both indices: its first R columns are the
-    R-NN graph. When only the larger R does not fit the rows, that index is
-    degenerate with NaN values.
+    Each series' R-NN graph is the first R columns of the matrix's own graph
+    (`DelayMatrix.knn_graph`). Both estimates come from this one call and
+    carry its time, split evenly between the directions.
 
     At independence r^R(t | other) is a distance to effectively random
     points, so each direction's value is set by the geometry of its own
     embedding. D = value_xy - value_yx is therefore zero at zero coupling
     only when the two series share their dynamics.
     """
-    p2 = p if p2 is None else p2
-    n = dm.n_rows
-    if n <= min(p.R, p2.R) + 1:
+    if dm.n_rows <= p.R + 1:
         raise InsufficientPointsError("need more rows than neighbours")
-    fitting = sorted({q.R for q in (p, p2) if n > q.R + 1})
 
     t0 = time.perf_counter()
-    idx_x, _ = dm.knn_graph("x", fitting[-1], knn_all)
-    idx_y, _ = dm.knn_graph("y", fitting[-1], knn_all)
+    idx_x, _ = dm.knn_graph("x", p.R, knn_all)
+    idx_y, _ = dm.knn_graph("y", p.R, knn_all)
 
-    def direction(emb, own_idx, mapped_idx, R):
+    def direction(emb, own_idx, mapped_idx):
         # mean squared distance to a set of neighbour indices, in emb's space
         def msd(nbr):
-            return _sum_sq(emb[:, None, :], emb[nbr[:, :R]]).mean(axis=1)
+            return _sum_sq(emb[:, None, :], emb[nbr]).mean(axis=1)
 
         r_own = msd(own_idx)
         r_map = msd(mapped_idx)
@@ -99,21 +95,12 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams(),
         si2 = float(np.mean(np.log(r_own / r_map)))
         return si1, si2, floored
 
-    values, status = {}, {}  # (name, R) -> (value_xy, value_yx); R -> status
-    for R in fitting:
-        si1_yx, si2_yx, f1 = direction(dm.x_emb, idx_x, idx_y, R)
-        si1_xy, si2_xy, f2 = direction(dm.y_emb, idx_y, idx_x, R)
-        values["si1", R] = (si1_xy, si1_yx)
-        values["si2", R] = (si2_xy, si2_yx)
-        status[R] = STATUS_DEGENERATE if (f1 or f2) else STATUS_OK
-    elapsed = (time.perf_counter() - t0) / 4
-
-    def estimate(name, q):
-        if q.R not in status:
-            return IndexEstimate(name, float("nan"), float("nan"), status=STATUS_DEGENERATE)
-        return IndexEstimate(name, *values[name, q.R], elapsed, elapsed, status[q.R])
-
-    return estimate("si1", p), estimate("si2", p2)
+    si1_yx, si2_yx, f1 = direction(dm.x_emb, idx_x, idx_y)
+    si1_xy, si2_xy, f2 = direction(dm.y_emb, idx_y, idx_x)
+    status = STATUS_DEGENERATE if (f1 or f2) else STATUS_OK
+    elapsed = (time.perf_counter() - t0) / 2
+    return (IndexEstimate("si1", si1_xy, si1_yx, elapsed, elapsed, status),
+            IndexEstimate("si2", si2_xy, si2_yx, elapsed, elapsed, status))
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:

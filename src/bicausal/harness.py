@@ -7,12 +7,11 @@ simulate path, serves `simulate_pair` and every sweep unit.
 the estimator call, with its preset parameters, that computes it;
 `compute_indices` runs the requested entries on one pair and builds each
 delay matrix once: te_hist, ete_hist, te_ksg and ctir read the same m=1
-matrix. si1 and si2 share one entry, so one `crossmap.si_pair` call yields
-both, and a lone request builds the neighbour graphs at its own R only.
-pi, si and ccm share one kNN graph per series and embedding dimension per
-call: the call's delay matrices keep them (`DelayMatrix.knn_graph`), and the
-graph readers run last, largest k first, so each graph is built once, by the
-reader that reads all of it.
+matrix. si1 and si2 are each one `crossmap.si_pair` call at their own R.
+pi, si1, si2 and ccm share one kNN graph per series and embedding dimension
+per call: the call's delay matrices keep them (`DelayMatrix.knn_graph`), and
+the graph readers run last, largest k first, so each graph is built once, by
+the reader that reads all of it, and a lone request builds it at its own k.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ from .core import (
     directed_index,
     embed,
 )
-from .errors import BicausalError, NumericalEscapeError, ValidationError
+from .errors import (BicausalError, InsufficientDataError, NumericalEscapeError,
+                     ValidationError)
 from .perturb import PerturbationSpec, apply_perturbation
 
 
@@ -78,31 +78,27 @@ def _entry(simulation: str) -> Simulation:
     return SIMULATION_TABLE[simulation]
 
 
-# name -> (embedding dimension, call(dm, presets, names), graph k).
+# name -> (embedding dimension, call(dm, presets), graph k).
 # The dimension is a preset key or a fixed m, and the call gets that horizon-1
 # delay matrix (ctir reads te_ksg's m=1 matrix and embeds its later horizons
-# itself). `names` are the requested indices. Each call looks its estimator up
+# itself) and returns the index's estimate. Each call looks its estimator up
 # on the module when it runs, never binding it at import, so that wrappers
 # placed on the module attribute (perfbench/tracing.py times each layer that
-# way) see every call. si1 and si2 share one entry, which runs once per pair
-# at the R of the requested ones only. graph k(presets, names) is the k an
-# entry reads from the x and y kNN graphs of its matrix, None for an entry
-# that reads none; it orders the calls: graph readers run last, largest k
-# first.
-_SI = ("m", lambda dm, ps, names: crossmap.si_pair(
-    dm, *(ps[n] for n in ("si1", "si2") if n in names)),
-    lambda ps, names: max(ps[n].R for n in ("si1", "si2") if n in names))
+# way) see every call. si1 and si2 are each one `si_pair` call at their own R.
+# graph k(presets) is the k an entry reads from the x and y kNN graphs of its
+# matrix, None for an entry that reads none; it orders the calls: graph
+# readers run last, largest k first.
 INDEX_TABLE = {
-    "egc": ("m", lambda dm, ps, _: regress.egc(dm, ps["egc"]), None),
-    "nlgc": ("m", lambda dm, ps, _: regress.nlgc(dm, ps["nlgc"]), None),
-    "pi": ("pi_m", lambda dm, ps, _: regress.pi(dm, ps["pi"]), lambda ps, _: ps["pi"].R),
-    "te_hist": (1, lambda dm, ps, _: info.te_hist(dm, ps["te_hist"]), None),
-    "ete_hist": (1, lambda dm, ps, _: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"]), None),
-    "te_ksg": (1, lambda dm, ps, _: info.te_ksg(dm, ps["te_ksg"]), None),
-    "ctir": (1, lambda dm, ps, _: info.ctir(dm, ps["ctir"]), None),
-    "si1": _SI,
-    "si2": _SI,
-    "ccm": ("m", lambda dm, ps, _: crossmap.ccm(dm, ps["ccm"]), lambda ps, _: ps["m"] + 1),
+    "egc": ("m", lambda dm, ps: regress.egc(dm, ps["egc"]), None),
+    "nlgc": ("m", lambda dm, ps: regress.nlgc(dm, ps["nlgc"]), None),
+    "pi": ("pi_m", lambda dm, ps: regress.pi(dm, ps["pi"]), lambda ps: ps["pi"].R),
+    "te_hist": (1, lambda dm, ps: info.te_hist(dm, ps["te_hist"]), None),
+    "ete_hist": (1, lambda dm, ps: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"]), None),
+    "te_ksg": (1, lambda dm, ps: info.te_ksg(dm, ps["te_ksg"]), None),
+    "ctir": (1, lambda dm, ps: info.ctir(dm, ps["ctir"]), None),
+    "si1": ("m", lambda dm, ps: crossmap.si_pair(dm, ps["si1"])[0], lambda ps: ps["si1"].R),
+    "si2": ("m", lambda dm, ps: crossmap.si_pair(dm, ps["si2"])[1], lambda ps: ps["si2"].R),
+    "ccm": ("m", lambda dm, ps: crossmap.ccm(dm, ps["ccm"]), lambda ps: ps["m"] + 1),
 }
 INDEX_NAMES = tuple(INDEX_TABLE)
 
@@ -338,25 +334,30 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
     dms: dict[int, object] = {}
 
     def dm_for(m: int):
+        # each dimension is embedded once; a failed one (None) fails its
+        # later readers without embedding again
         if m not in dms:
+            dms[m] = None
             dms[m] = embed(pair, EmbeddingSpec(m=m))
+        if dms[m] is None:
+            raise InsufficientDataError(f"no delay matrix of dimension {m}")
         return dms[m]
+
+    def graph_order(name):
+        k = INDEX_TABLE[name][2]
+        return (k is not None, -k(presets) if k else 0)
 
     # the graph readers last, largest k first (a stable sort), so each kNN
     # graph is built once, by the reader that reads all of it
-    entries = sorted(dict.fromkeys(INDEX_TABLE[name] for name in indices),
-                     key=lambda e: (e[2] is not None, -e[2](presets, indices) if e[2] else 0))
     got = {}
-    for m, call, _ in entries:
+    for name in sorted(indices, key=graph_order):
+        m, call, _ = INDEX_TABLE[name]
         m = presets[m] if isinstance(m, str) else m
         try:
-            result = call(dm_for(m), presets, indices)
+            got[name] = call(dm_for(m), presets)
         except BicausalError:
-            continue
-        for est in result if isinstance(result, tuple) else (result,):
-            got[est.index] = est
-    return [got[name] if name in got else _status_estimate(name, STATUS_DEGENERATE)
-            for name in indices]
+            got[name] = _status_estimate(name, STATUS_DEGENERATE)
+    return [got[name] for name in indices]
 
 
 def _sim_length(cfg: SweepConfig) -> int:
@@ -456,13 +457,12 @@ def timing_table(res: SweepResult) -> dict:
             for index, v in sums.items()}
 
 
-def corr_matrix(res: SweepResult, kind: str = "pearson",
-                statistic: str = "d", direction: str | None = None):
+def corr_matrix(res: SweepResult, kind: str = "pearson", statistic: str = "d"):
     """Correlation between indices across all (grid point, run) samples.
 
-    statistic "d" correlates the directed index; "value" correlates one
-    direction's raw estimates (pass direction="xy"/"yx"). Undefined entries
-    (constant or empty columns) are NaN. Returns (names, matrix).
+    statistic "d" correlates the directed index, "xy" or "yx" that
+    direction's raw estimates. Undefined entries (constant or empty columns)
+    are NaN. Returns (names, matrix).
     """
     # imported here: scipy.stats is slow to import and only this reads it
     from scipy.stats import spearmanr
@@ -476,10 +476,8 @@ def corr_matrix(res: SweepResult, kind: str = "pearson",
     for name in names:
         if statistic == "d":
             keys, vals = res.directed_series(name)
-        elif statistic == "value":
-            if direction not in ("xy", "yx"):
-                raise ValidationError("statistic 'value' needs direction 'xy' or 'yx'")
-            mapping = res.values(name, direction)
+        elif statistic in ("xy", "yx"):
+            mapping = res.values(name, statistic)
             keys = sorted(mapping)
             vals = np.array([mapping[k] for k in keys])
         else:

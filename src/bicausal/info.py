@@ -47,6 +47,7 @@ from .core import (
     DelayMatrix,
     IndexEstimate,
     SeriesPair,
+    check_integer,
     embed,
 )
 from .errors import InsufficientDataError, InsufficientPointsError, ValidationError
@@ -84,8 +85,7 @@ class HistParams:
     N: int = 8
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValidationError("need at least two bins")
+        check_integer(self.N, "N", minimum=2)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class KsgParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
+        check_integer(self.k, "k")
+        check_integer(self.seed, "seed", minimum=0)
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class EteParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_shuffle < 1:
-            raise ValidationError("need at least one shuffle")
+        check_integer(self.n_shuffle, "n_shuffle")
+        check_integer(self.seed, "seed", minimum=0)
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ class CtirParams(KsgParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.tau_max < 1:
-            raise ValidationError("tau_max must be >= 1")
+        check_integer(self.tau_max, "tau_max")
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ global RBF, and locally constant predictability improvement."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate
+from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, check_integer
 from .errors import InsufficientPointsError, ValidationError
 from .neighbors import PointSet, _sum_sq, knn_all
 
@@ -28,10 +29,10 @@ class EgcParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValidationError("need at least one neighbourhood")
-        if self.delta <= 0:
-            raise ValidationError("neighbourhood radius must be positive")
+        check_integer(self.L, "L")
+        check_integer(self.seed, "seed", minimum=0)
+        if not math.isfinite(self.delta) or self.delta <= 0:
+            raise ValidationError("neighbourhood radius must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,10 @@ class NlgcParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.P < 1:
-            raise ValidationError("need at least one RBF center")
-        if self.var <= 0:
-            raise ValidationError("RBF variance must be positive")
+        check_integer(self.P, "P")
+        check_integer(self.seed, "seed", minimum=0)
+        if not math.isfinite(self.var) or self.var <= 0:
+            raise ValidationError("RBF variance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,7 @@ class PiParams:
     include_self: bool = False
 
     def __post_init__(self):
-        if self.R < 1:
-            raise ValidationError("need at least one neighbour")
+        check_integer(self.R, "R")
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,19 @@ def test_simulate_roundtrip(tmp_path):
     code = run_cli("simulate", "--preset", "ulam-1e3", "--coupling", "0.4",
                    "--T", "120", "--seed", "5", "-o", str(tmp_path))
     assert code == 0
-    pair = pair_from_csv(tmp_path / "ulam_series.csv")
+    pair = pair_from_csv(tmp_path / "ulam-1e3_series.csv")
     assert pair.T == 120
     assert np.all(np.abs(pair.x) <= 2.0)
+
+
+def test_simulate_names_the_file_after_the_preset(tmp_path):
+    # two presets of one system, written to one directory, leave two files
+    for preset, T in (("ulam-1e3", 40), ("ulam-1e5", 60)):
+        assert run_cli("simulate", "--preset", preset, "--T", str(T), "-o", str(tmp_path)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ulam-1e3_series.csv",
+                                                         "ulam-1e5_series.csv"]
+    assert pair_from_csv(tmp_path / "ulam-1e3_series.csv").T == 40
+    assert pair_from_csv(tmp_path / "ulam-1e5_series.csv").T == 60
 
 
 @pytest.mark.parametrize("preset", sorted(PRESET_IDS))
@@ -70,7 +80,7 @@ def test_simulate_default_coupling_is_half_the_range(tmp_path, preset):
     simulation, _ = PRESET_IDS[preset]
     assert run_cli("simulate", "--preset", preset, "--T", "50", "--seed", "3",
                    "-o", str(tmp_path)) == 0
-    got = pair_from_csv(tmp_path / f"{simulation}_series.csv")
+    got = pair_from_csv(tmp_path / f"{preset}_series.csv")
     point = (0.2, 0.2) if simulation.startswith("henon_bi") else \
         normalize_point(simulation, 0.5)
     want = simulate_pair(simulation, point, 50, seed=3)
@@ -81,12 +91,12 @@ def test_simulate_coupling_pair(tmp_path):
     # --coupling-yx makes the point explicit: (coupling, coupling_yx)
     assert run_cli("simulate", "--preset", "henon-bi-ni-1e4", "--coupling", "0.1",
                    "--coupling-yx", "0.3", "--T", "40", "-o", str(tmp_path)) == 0
-    got = pair_from_csv(tmp_path / "henon_bi_ni_series.csv")
+    got = pair_from_csv(tmp_path / "henon-bi-ni-1e4_series.csv")
     assert np.array_equal(got.x, simulate_pair("henon_bi_ni", (0.1, 0.3), 40, seed=0).x)
     # a zero second coupling is the one-coupling system's own point
     assert run_cli("simulate", "--preset", "ulam-1e3", "--coupling", "0.4",
                    "--coupling-yx", "0", "--T", "40", "-o", str(tmp_path)) == 0
-    got = pair_from_csv(tmp_path / "ulam_series.csv")
+    got = pair_from_csv(tmp_path / "ulam-1e3_series.csv")
     assert np.array_equal(got.y, simulate_pair("ulam", (0.4, 0.0), 40, seed=0).y)
 
 
@@ -106,7 +116,7 @@ def test_indices_on_constant_series_exits_2(tmp_path):
 def test_indices_on_real_series_exits_0(tmp_path):
     run_cli("simulate", "--preset", "ulam-1e3", "--coupling", "0.5", "--T", "400",
             "-o", str(tmp_path))
-    code = run_cli("indices", "--input", str(tmp_path / "ulam_series.csv"),
+    code = run_cli("indices", "--input", str(tmp_path / "ulam-1e3_series.csv"),
                    "--indices", "te_hist,si1", "-o", str(tmp_path))
     assert code == 0
     rows = list(csv.DictReader(open(tmp_path / "indices.csv")))
@@ -246,7 +256,7 @@ def test_config_file_merge(tmp_path):
     code = run_cli("simulate", "--preset", "ulam-1e3", "--coupling", "0.9",
                    "--config", str(cfg), "-o", str(tmp_path))
     assert code == 0
-    pair = pair_from_csv(tmp_path / "ulam_series.csv")
+    pair = pair_from_csv(tmp_path / "ulam-1e3_series.csv")
     assert pair.T == 80  # file value wins
 
 

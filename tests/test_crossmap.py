@@ -73,16 +73,15 @@ def test_si_translation_invariance():
     # on data with a large mean (at +1e8, si1 yx was NaN with status ok)
     pair = sim_lp(LpParams(lam=0.4, T=2000, seed=0))
     spec = EmbeddingSpec(m=2)
-    base = si_pair(embed(pair, spec), SiParams(R=10), SiParams(R=30))
-    shifted = si_pair(embed(SeriesPair(pair.x + 1e6, pair.y + 1e6), spec),
-                      SiParams(R=10), SiParams(R=30))
-    for a, b in zip(base, shifted):
-        assert a.value_xy == pytest.approx(b.value_xy, abs=1e-6)
-        assert a.value_yx == pytest.approx(b.value_yx, abs=1e-6)
-    far = si_pair(embed(SeriesPair(pair.x + 1e8, pair.y + 1e8), spec),
-                  SiParams(R=10), SiParams(R=30))
-    for est in far:
-        assert np.isfinite(est.value_xy) and np.isfinite(est.value_yx)
+    for R in (10, 30):
+        base = si_pair(embed(pair, spec), SiParams(R=R))
+        shifted = si_pair(embed(SeriesPair(pair.x + 1e6, pair.y + 1e6), spec), SiParams(R=R))
+        for a, b in zip(base, shifted):
+            assert a.value_xy == pytest.approx(b.value_xy, abs=1e-6)
+            assert a.value_yx == pytest.approx(b.value_yx, abs=1e-6)
+        far = si_pair(embed(SeriesPair(pair.x + 1e8, pair.y + 1e8), spec), SiParams(R=R))
+        for est in far:
+            assert np.isfinite(est.value_xy) and np.isfinite(est.value_yx)
 
 
 def test_si_zero_distance_floor():

@@ -129,7 +129,7 @@ def test_corr_matrix_properties(small_ulam_sweep):
     assert mat[0, 1] == pytest.approx(mat[1, 0])
     # the shuffle correction tracks the raw histogram estimate very closely
     assert mat[0, 1] > 0.95
-    names2, spear = corr_matrix(small_ulam_sweep, "spearman", "value", "xy")
+    names2, spear = corr_matrix(small_ulam_sweep, "spearman", "xy")
     assert spear[0, 1] <= 1.0
 
 
@@ -180,7 +180,10 @@ def test_histogram_estimator_is_fastest():
     table = {k: min(t[k][0] for t in tables) for k in tables[0]}
     others = {k: v for k, v in table.items() if k not in ("te_hist", "ete_hist")}
     assert table["te_hist"] <= min(others.values()), tables
-    slow_family = min(table[k] for k in ("pi", "te_ksg", "ctir", "si1", "si2", "ccm"))
+    # si2 (R 30) builds the kNN graphs that si1 (R 10) then slices, so the si
+    # family's cost per index is their mean
+    slow_family = min([table[k] for k in ("pi", "te_ksg", "ctir", "ccm")]
+                      + [(table["si1"] + table["si2"]) / 2])
     assert table["ete_hist"] < slow_family, tables
 
 

@@ -1,17 +1,18 @@
 """The index table of `harness.compute_indices` against direct estimator calls,
-the one-graph, two-radius `crossmap.si_pair` against single-radius calls, and
-the kNN graphs one `compute_indices` call shares between pi, si and ccm."""
+the delay matrices and kNN graphs one `compute_indices` call shares between
+its indices, and the estimators' parameter checks."""
 
 import gc
 import math
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from bicausal import crossmap, harness, info, regress
-from bicausal.core import STATUS_DEGENERATE, STATUS_OK, EmbeddingSpec, embed
-from bicausal.errors import BicausalError, InsufficientPointsError
+from bicausal.core import STATUS_DEGENERATE, STATUS_OK, EmbeddingSpec, SeriesPair, embed
+from bicausal.errors import BicausalError, InsufficientPointsError, ValidationError
 from bicausal.perturb import PerturbationSpec, apply_perturbation
 
 ESTIMATORS = ((regress, "egc"), (regress, "nlgc"), (regress, "pi"),
@@ -88,23 +89,6 @@ def test_table_matches_direct_calls(simulation, T, point, rounded):
     assert [est.index for est in reordered] == ["si2", "te_hist", "si1"]
 
 
-@pytest.mark.parametrize("simulation,T,point", [
-    ("lp", 2000, (0.0, 0.3)),           # R 10 and 30
-    ("henon_bi_i", 2000, (0.1, 0.05)),   # R 20 and 100
-])
-def test_si_two_radii_match_single_radius_calls(simulation, T, point):
-    ps = harness.index_presets(simulation, T)
-    assert ps["si1"].R < ps["si2"].R
-    for seed in (0, 1):
-        pair = harness.simulate_pair(simulation, point, T, seed)
-        dm = embed(pair, EmbeddingSpec(m=ps["m"]))
-        si1, si2 = crossmap.si_pair(dm, ps["si1"], ps["si2"])
-        want1 = crossmap.si_pair(dm, ps["si1"])[0]
-        want2 = crossmap.si_pair(dm, ps["si2"])[1]
-        assert_same(si1, want1)
-        assert_same(si2, want2)
-
-
 def test_si_only_larger_radius_too_large():
     # lp at T=30 embeds to 28 rows: si1 (R=10) fits, si2 (R=30) does not
     pair = harness.simulate_pair("lp", (0.0, 0.3), 30, seed=0)
@@ -112,15 +96,11 @@ def test_si_only_larger_radius_too_large():
     dm = embed(pair, EmbeddingSpec(m=ps["m"]))
     with pytest.raises(InsufficientPointsError):
         crossmap.si_pair(dm, ps["si2"])
-    si1, si2 = crossmap.si_pair(dm, ps["si1"], ps["si2"])
-    assert si1.status == STATUS_OK
-    assert_same(si1, crossmap.si_pair(dm, ps["si1"])[0])
-    assert_degenerate(si2)
     got = harness.compute_indices(pair, "lp", 30, ("si1", "si2"))
     assert [(est.index, est.status) for est in got] == [("si1", STATUS_OK),
                                                         ("si2", STATUS_DEGENERATE)]
-    with pytest.raises(InsufficientPointsError):
-        crossmap.si_pair(dm, crossmap.SiParams(R=27), ps["si2"])
+    assert_same(got[0], crossmap.si_pair(dm, ps["si1"])[0])
+    assert_degenerate(got[1])
 
 
 def test_ctir_reads_the_shared_m1_matrix(monkeypatch):
@@ -136,6 +116,51 @@ def test_ctir_reads_the_shared_m1_matrix(monkeypatch):
     pair = harness.simulate_pair("lp", (0.0, 0.3), 2000, seed=0)
     assert all(est.status == STATUS_OK for est in harness.compute_indices(pair, "lp", 2000))
     assert built == {"bicausal.harness": 2, "bicausal.info": 20 + 19}
+
+
+def test_failed_embedding_is_tried_once_per_dimension(monkeypatch):
+    # with x missing at every odd t no row survives at m = 1 or m = 2; each
+    # is embedded once, and every index that reads it is degenerate
+    calls = []
+
+    def counted(pair, spec, _fn=harness.embed):
+        calls.append(spec.m)
+        return _fn(pair, spec)
+
+    monkeypatch.setattr(harness, "embed", counted)
+    pair = harness.simulate_pair("lp", (0.0, 0.3), 600, seed=0)
+    x = pair.x.copy()
+    x[1::2] = np.nan
+    got = harness.compute_indices(SeriesPair(x, pair.y), "lp", 600)
+    assert sorted(calls) == [1, 2]
+    for est in got:
+        assert_degenerate(est)
+
+
+def _integer_field(cls, name, minimum):
+    return pytest.param(cls, name, minimum, (minimum - 1, minimum + 0.5, float(minimum), True),
+                        id=f"{cls.__name__}.{name}")
+
+
+@pytest.mark.parametrize("cls,name,good,bad", [
+    *(_integer_field(cls, name, minimum) for cls, name, minimum in (
+        (info.KsgParams, "k", 1), (info.KsgParams, "seed", 0),
+        (info.CtirParams, "tau_max", 1), (info.CtirParams, "k", 1), (info.CtirParams, "seed", 0),
+        (info.HistParams, "N", 2), (info.EteParams, "n_shuffle", 1), (info.EteParams, "seed", 0),
+        (crossmap.SiParams, "R", 1), (regress.PiParams, "R", 1),
+        (regress.NlgcParams, "P", 1), (regress.NlgcParams, "seed", 0),
+        (regress.EgcParams, "L", 1), (regress.EgcParams, "seed", 0),
+        (crossmap.CcmParams, "n_t", 1), (crossmap.CcmParams, "seed", 0))),
+    pytest.param(regress.EgcParams, "delta", 0.5, (math.nan, math.inf, 0.0), id="EgcParams.delta"),
+    pytest.param(regress.NlgcParams, "var", 0.05, (math.nan, math.inf, 0.0), id="NlgcParams.var"),
+    pytest.param(crossmap.CcmParams, "delta_rho", -0.1, (math.nan, math.inf, -math.inf),
+                 id="CcmParams.delta_rho"),
+])
+def test_estimator_params_reject_malformed_fields(cls, name, good, bad):
+    assert getattr(cls(**{name: good}), name) == good
+    for value in bad:
+        with pytest.raises(ValidationError):
+            cls(**{name: value})
 
 
 def test_each_estimator_called_once_per_unit_through_its_module(monkeypatch):
@@ -155,8 +180,9 @@ def test_each_estimator_called_once_per_unit_through_its_module(monkeypatch):
     runs = 2
     harness.run_sweep(harness.SweepConfig(simulation="lp", couplings=(0.2,), T=2000,
                                           runs=runs, base_seed=0))
-    # te_hist is also called by ete_hist, for its unshuffled value
-    want = {name: runs for _, name in ESTIMATORS} | {"te_hist": 2 * runs}
+    # te_hist is also called by ete_hist, for its unshuffled value, and
+    # si_pair once for si1 and once for si2
+    want = {name: runs for _, name in ESTIMATORS} | {"te_hist": 2 * runs, "si_pair": 2 * runs}
     assert dict(calls) == want
 
     # a lone si request builds its graphs, one per series, at its own R only
@@ -232,10 +258,9 @@ def test_graph_build_time_goes_to_the_reader_of_the_whole_graph(monkeypatch, nam
     pair = harness.simulate_pair("ulam", (0.4, 0.0), 1000, seed=0)
     got = {est.index: est.elapsed_xy + est.elapsed_yx
            for est in harness.compute_indices(pair, "ulam", 1000, names)}
-    # in either order si (R = 20) builds x and y, ccm (k = 2) only reads
-    # them, and pi (R = 1) reads them and builds its joint graph. si_pair
-    # splits its time four ways between si1 and si2, so si1 holds half of it.
-    assert 2 * delay <= 2 * got["si1"] < 3 * delay
+    # in either order si1 (R = 20) builds x and y, ccm (k = 2) only reads
+    # them, and pi (R = 1) reads them and builds its joint graph
+    assert 2 * delay <= got["si1"] < 3 * delay
     assert got["ccm"] < delay
     assert delay <= got["pi"] < 2 * delay
 
