@@ -121,6 +121,17 @@ def _add_common(sub):
     sub.add_argument("--out", "-o", default=".", help="output directory")
 
 
+def _add_sweep_flags(sub):
+    sub.add_argument("--preset", required=True, choices=sorted(PRESET_IDS))
+    sub.add_argument("--grid", default="desk",
+                     help="'desk' (0.05), 'paper' (0.01) or start:stop:step")
+    sub.add_argument("--runs", type=int, default=3)
+    sub.add_argument("--T", type=int, default=None)
+    sub.add_argument("--indices", default="all")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--workers", type=int, default=_workers_default())
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bicausal",
                      description="bivariate causality index benchmarking")
@@ -144,18 +155,11 @@ def build_parser() -> _Parser:
     _add_common(p_idx)
 
     p_sweep = subs.add_parser("sweep", help="run a coupling sweep")
-    p_sweep.add_argument("--preset", required=True, choices=sorted(PRESET_IDS))
-    p_sweep.add_argument("--grid", default="desk",
-                         help="'desk' (0.05), 'paper' (0.01) or start:stop:step")
-    p_sweep.add_argument("--runs", type=int, default=3)
-    p_sweep.add_argument("--T", type=int, default=None)
-    p_sweep.add_argument("--indices", default="all")
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--workers", type=int, default=_workers_default())
+    _add_sweep_flags(p_sweep)
     _add_common(p_sweep)
 
     p_pert = subs.add_parser("perturb", help="baseline + perturbed sweep and f/g table")
-    p_pert.add_argument("--preset", required=True, choices=sorted(PRESET_IDS))
+    _add_sweep_flags(p_pert)
     p_pert.add_argument("--kind", required=True,
                         choices=["standardize", "scale", "round", "missing",
                                  "noise", "data-size"])
@@ -165,12 +169,6 @@ def build_parser() -> _Parser:
     p_pert.add_argument("--fraction", type=float, default=0.1)
     p_pert.add_argument("--noise-var", type=float, default=0.1)
     p_pert.add_argument("--data-size", type=int, default=None)
-    p_pert.add_argument("--grid", default="desk")
-    p_pert.add_argument("--runs", type=int, default=3)
-    p_pert.add_argument("--T", type=int, default=None)
-    p_pert.add_argument("--indices", default="all")
-    p_pert.add_argument("--seed", type=int, default=0)
-    p_pert.add_argument("--workers", type=int, default=_workers_default())
     _add_common(p_pert)
 
     p_or = subs.add_parser("oracle", help="analytic linear-process curves")
@@ -229,10 +227,8 @@ def _cmd_indices(args) -> int:
     simulation, T = PRESET_IDS[args.preset]
     estimates = harness.compute_indices(pair, simulation, T, _indices_list(args.indices))
     out = os.path.join(_outdir(args), "indices.csv")
-    harness.write_csv(out, ["index", "direction", "value", "elapsed_seconds", "status"], (
-        [est.index, direction, est.value(direction),
-         est.elapsed_xy if direction == "xy" else est.elapsed_yx, est.status]
-        for est in estimates for direction in ("xy", "yx")))
+    harness.write_csv(out, ["index", "direction", "value", "elapsed_seconds", "status"],
+                      (row for est in estimates for row in est.rows()))
     print(out)
     if all(est.status != STATUS_OK for est in estimates):
         return 2

@@ -1,4 +1,5 @@
-"""Series container, delay embedding, standardisation and the directed index.
+"""Series container, delay embedding, standardisation, the directed index and
+the two directions (`SIDES`, `both_directions`) every estimator reports.
 
 A bivariate record is a pair of aligned scalar series in which a NaN marks a
 missing sample. Missing data is handled in exactly one place: the embedding
@@ -8,6 +9,8 @@ imputed.
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +20,38 @@ from .neighbors import PointSet
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
+
+# direction -> (own series, other series): "xy" (X -> Y) explains y's future
+# from x, "yx" (Y -> X) x's future from y
+SIDES = {"xy": ("y", "x"), "yx": ("x", "y")}
+
+
+def sides(direction: str) -> tuple[str, str]:
+    """(own series, other series) of a direction; an unknown direction is a
+    ValidationError."""
+    try:
+        return SIDES[direction]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown direction {direction!r}") from None
+
+
+def both_directions(fn, *args, concurrent: bool = False):
+    """((result, seconds) of fn(*args, "xy"), (result, seconds) of
+    fn(*args, "yx")): yx runs first, then xy, on the calling thread, or with
+    `concurrent` yx runs in one helper thread while this thread runs xy. The
+    helper is joined before this returns or raises, and an exception of
+    either call propagates unchanged (xy's when both raise)."""
+    def timed(direction):
+        t0 = time.perf_counter()
+        result = fn(*args, direction)
+        return result, time.perf_counter() - t0
+
+    if not concurrent:
+        yx = timed("yx")
+        return timed("xy"), yx
+    with ThreadPoolExecutor(1) as pool:
+        yx = pool.submit(timed, "yx")
+        return timed("xy"), yx.result()
 
 
 def _as_series(values, name: str) -> np.ndarray:
@@ -127,6 +162,14 @@ class DelayMatrix:
         """Joint-space embedding (x columns then y columns)."""
         return np.hstack([self.x_emb, self.y_emb])
 
+    def emb(self, series: str) -> np.ndarray:
+        """The "x", "y" or "z" (joint) embedding."""
+        return getattr(self, f"{series}_emb")
+
+    def future(self, series: str) -> np.ndarray:
+        """The "x" or "y" future values."""
+        return getattr(self, f"{series}_future")
+
     def knn_graph(self, series: str, k: int, build) -> tuple[np.ndarray, np.ndarray]:
         """The first k columns (indices, distances) of the self-excluded kNN
         graph of the "x", "y" or "z" embedding.
@@ -140,7 +183,7 @@ class DelayMatrix:
             raise ValidationError(f"unknown embedding {series!r}")
         graph = self._graphs.get(series)
         if graph is None or graph[0].shape[1] < k:
-            graph = self._graphs[series] = build(PointSet(getattr(self, f"{series}_emb")), k)
+            graph = self._graphs[series] = build(PointSet(self.emb(series)), k)
         idx, dist = graph
         return idx[:, :k], dist[:, :k]
 
@@ -213,8 +256,10 @@ class IndexEstimate:
 
     value_xy is the X->Y estimate, value_yx the Y->X estimate; `d` is their
     difference whenever both are finite. Elapsed seconds are wall-clock per
-    direction; te_ksg and ctir may run their two directions at the same time
-    (see `info`), so their two elapsed times may overlap.
+    direction, measured for each direction by `both_directions`, except egc
+    and nlgc, whose two directions come from one joint computation that is
+    split evenly. te_ksg and ctir may run their two directions at the same
+    time (see `info`), so their two elapsed times may overlap.
     """
 
     index: str
@@ -234,8 +279,11 @@ class IndexEstimate:
         return directed_index(self.value_xy, self.value_yx)
 
     def value(self, direction: str) -> float:
-        if direction == "xy":
-            return self.value_xy
-        if direction == "yx":
-            return self.value_yx
-        raise ValidationError(f"unknown direction {direction!r}")
+        sides(direction)
+        return getattr(self, f"value_{direction}")
+
+    def rows(self) -> list[tuple]:
+        """(index, direction, value, elapsed seconds, status) of each
+        direction, xy first."""
+        return [(self.index, d, self.value(d), getattr(self, f"elapsed_{d}"), self.status)
+                for d in SIDES]

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, check_integer
+from .core import (STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, both_directions,
+                   check_integer, sides)
 from .errors import InsufficientPointsError, ValidationError
 from .neighbors import PointSet, _sum_sq, knn_all, knn_points, pairwise_distance
 
@@ -66,7 +66,8 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, I
     Squared euclidean distances throughout; identical series give si2 = 0.
     Each series' R-NN graph is the first R columns of the matrix's own graph
     (`DelayMatrix.knn_graph`). Both estimates come from this one call and
-    carry its time, split evenly between the directions.
+    carry its per-direction times: yx reads the x graph, then the y graph,
+    so a graph this call builds is charged to yx.
 
     At independence r^R(t | other) is a distance to effectively random
     points, so each direction's value is set by the geometry of its own
@@ -76,11 +77,12 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, I
     if dm.n_rows <= p.R + 1:
         raise InsufficientPointsError("need more rows than neighbours")
 
-    t0 = time.perf_counter()
-    idx_x, _ = dm.knn_graph("x", p.R, knn_all)
-    idx_y, _ = dm.knn_graph("y", p.R, knn_all)
+    def direction(d):
+        own, other = sides(d)
+        own_idx, _ = dm.knn_graph(own, p.R, knn_all)
+        mapped_idx, _ = dm.knn_graph(other, p.R, knn_all)
+        emb = dm.emb(own)
 
-    def direction(emb, own_idx, mapped_idx):
         # mean squared distance to a set of neighbour indices, in emb's space
         def msd(nbr):
             return _sum_sq(emb[:, None, :], emb[nbr]).mean(axis=1)
@@ -95,12 +97,10 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, I
         si2 = float(np.mean(np.log(r_own / r_map)))
         return si1, si2, floored
 
-    si1_yx, si2_yx, f1 = direction(dm.x_emb, idx_x, idx_y)
-    si1_xy, si2_xy, f2 = direction(dm.y_emb, idx_y, idx_x)
-    status = STATUS_DEGENERATE if (f1 or f2) else STATUS_OK
-    elapsed = (time.perf_counter() - t0) / 2
-    return (IndexEstimate("si1", si1_xy, si1_yx, elapsed, elapsed, status),
-            IndexEstimate("si2", si2_xy, si2_yx, elapsed, elapsed, status))
+    ((si1_xy, si2_xy, f_xy), t_xy), ((si1_yx, si2_yx, f_yx), t_yx) = both_directions(direction)
+    status = STATUS_DEGENERATE if (f_yx or f_xy) else STATUS_OK
+    return (IndexEstimate("si1", si1_xy, si1_yx, t_xy, t_yx, status),
+            IndexEstimate("si2", si2_xy, si2_yx, t_xy, t_yx, status))
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -123,14 +123,15 @@ def _smallest_library_knn(emb, start, k):
     return idx, np.take_along_axis(dist, idx, axis=-1)
 
 
-def _rho_for_size(dm, series, target_vals, size, k, n_t, seed, dir_flag):
+def _rho_for_size(dm, series, target_vals, size, k, n_t, seed):
     """Mean cross-map correlation over n_t seeded random contiguous library
-    segments of the given size from the `series` embedding of dm; the full
+    segments of the given size from the "x" or "y" embedding of dm; the full
     library is that embedding's kNN graph, and the smallest (k+1 = m+2
     points) ranks its own points (`_smallest_library_knn`)."""
-    emb = getattr(dm, f"{series}_emb")
+    emb = dm.emb(series)
     n = emb.shape[0]
-    rng = np.random.default_rng([seed, dir_flag, size])
+    # the segments are seeded by the library's series: x 0, y 1
+    rng = np.random.default_rng([seed, "xy".index(series), size])
     starts = rng.integers(0, n - size + 1, size=n_t)
     uniq, counts = np.unique(starts, return_counts=True)
     rhos = np.empty(len(uniq))
@@ -165,19 +166,14 @@ def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int],
                   direction: str) -> list[float]:
     """rho(library size) for one direction ("yx" cross-maps from the x
     manifold and detects Y -> X, per the cross-mapping inversion)."""
-    if direction == "yx":
-        target, series, dir_flag = dm.y_emb[:, -1], "x", 0
-    elif direction == "xy":
-        target, series, dir_flag = dm.x_emb[:, -1], "y", 1
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
+    own, other = sides(direction)
+    target = dm.emb(other)[:, -1]
     n = dm.n_rows
     k = dm.m + 1
     for size in sizes:
         if not (dm.m + 2 <= size <= n):
             raise ValidationError("library sizes must lie in [m+2, n_rows]")
-    return [_rho_for_size(dm, series, target, size, k, p.n_t, p.seed, dir_flag)
-            for size in sizes]
+    return [_rho_for_size(dm, own, target, size, k, p.n_t, p.seed) for size in sizes]
 
 
 def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
@@ -192,14 +188,7 @@ def ccm(dm: DelayMatrix, p: CcmParams = CcmParams()) -> IndexEstimate:
     n = dm.n_rows
     if n < dm.m + 3:
         raise InsufficientPointsError("too few rows for cross mapping")
-    sizes = [dm.m + 2, n]
 
-    t0 = time.perf_counter()
-    curve_yx = ccm_rho_curve(dm, p, sizes, "yx")
-    t1 = time.perf_counter()
-    curve_xy = ccm_rho_curve(dm, p, sizes, "xy")
-    t2 = time.perf_counter()
-
-    v_yx = converged_value(curve_yx[0], curve_yx[-1], p.delta_rho)
-    v_xy = converged_value(curve_xy[0], curve_xy[-1], p.delta_rho)
-    return IndexEstimate("ccm", v_xy, v_yx, t2 - t1, t1 - t0)
+    (curve_xy, t_xy), (curve_yx, t_yx) = both_directions(ccm_rho_curve, dm, p, [dm.m + 2, n])
+    return IndexEstimate("ccm", converged_value(curve_xy[0], curve_xy[-1], p.delta_rho),
+                         converged_value(curve_yx[0], curve_yx[-1], p.delta_rho), t_xy, t_yx)

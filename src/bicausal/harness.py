@@ -391,13 +391,8 @@ def _run_chunk(cfg: SweepConfig, units: list) -> list[Record]:
                                                 for i, run in group], _sim_length(cfg))
         for (i, run), pair in zip(group, pairs):
             point = cfg.couplings[i]
-            records.extend(
-                Record(cfg.simulation, point[0], point[1], run, est.index, direction,
-                       est.value(direction),
-                       est.elapsed_xy if direction == "xy" else est.elapsed_yx,
-                       est.status)
-                for est in _unit_estimates(cfg, i, run, pair)
-                for direction in ("xy", "yx"))
+            records.extend(Record(cfg.simulation, point[0], point[1], run, *row)
+                           for est in _unit_estimates(cfg, i, run, pair) for row in est.rows())
     return records
 
 

@@ -18,23 +18,21 @@ in x_j, so the counts equal the tree's exactly. Two columns add an integer
 rectangle count over the two rank orders. Marginals of three or more columns
 use the kd-tree ball count (`_tree_counts`).
 
-`te_ksg` (one delay matrix) and `ctir` (one per horizon: the given matrix,
-then the later horizons, all built first) evaluate their two directions,
-which are independent, in one `_both_directions` call of
-`_te_ksg_direction`. When the process has a spare core the yx direction
-runs in one helper thread, made and joined within the call, while the
-calling thread runs xy; the kd-tree queries, sorts and `searchsorted` that
-do the work release the GIL. Each direction
-computes exactly what it computes alone, so the values do not depend on
-it, but the two elapsed times may overlap. Every other estimator runs on
-the calling thread only.
+Each estimator computes one direction in a function of the direction, and
+`core.both_directions` runs it for both and times each. `te_ksg` (one delay
+matrix) and `ctir` (one per horizon: the given matrix, then the later
+horizons, all built first) pass `concurrent=_concurrent_directions`: when the
+process has a spare core the yx direction runs in one helper thread, made and
+joined within the call, while the calling thread runs xy; the kd-tree
+queries, sorts and `searchsorted` that do the work release the GIL. Each
+direction computes exactly what it computes alone, so the values do not
+depend on it, but the two elapsed times may overlap. te_hist and ete_hist
+run both directions on the calling thread.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,9 +44,10 @@ from .core import (
     STATUS_OK,
     DelayMatrix,
     IndexEstimate,
-    SeriesPair,
+    both_directions,
     check_integer,
     embed,
+    sides,
 )
 from .errors import InsufficientDataError, InsufficientPointsError, ValidationError
 from .neighbors import seeded_jitter
@@ -72,7 +71,7 @@ def spare_core(processes: int) -> bool:
     return usable_cpus() >= 2 * processes
 
 
-# whether `_both_directions` runs the two directions concurrently: true when
+# whether te_ksg and ctir run their two directions concurrently: true when
 # this process has a spare core; a sweep's worker processes reset it for
 # their number (harness.run_sweep)
 _concurrent_directions = spare_core(1)
@@ -173,13 +172,12 @@ def _te_hist_one(cond_emb, src_emb, fut, cond_edge, src_edge):
 def _te_hist_direction(dm: DelayMatrix, N: int, direction: str) -> float | None:
     """Histogram TE of one direction ("yx": Y -> X, "xy": X -> Y) over N
     equal-width bins per variable; None when either series is constant."""
-    x_edge = _equal_width_edges(np.concatenate([dm.x_emb.ravel(), dm.x_future]), N)
-    y_edge = _equal_width_edges(np.concatenate([dm.y_emb.ravel(), dm.y_future]), N)
-    if x_edge is None or y_edge is None:
+    own, other = sides(direction)
+    edges = {s: _equal_width_edges(np.concatenate([dm.emb(s).ravel(), dm.future(s)]), N)
+             for s in ("x", "y")}
+    if edges["x"] is None or edges["y"] is None:
         return None
-    if direction == "yx":
-        return _te_hist_one(dm.x_emb, dm.y_emb, dm.x_future, x_edge, y_edge)
-    return _te_hist_one(dm.y_emb, dm.x_emb, dm.y_future, y_edge, x_edge)
+    return _te_hist_one(dm.emb(own), dm.emb(other), dm.future(own), edges[own], edges[other])
 
 
 def te_hist(dm: DelayMatrix, p: HistParams = HistParams()) -> IndexEstimate:
@@ -194,14 +192,10 @@ def te_hist(dm: DelayMatrix, p: HistParams = HistParams()) -> IndexEstimate:
     AR(1) persistences 0.8 and 0.4), the two directions carry different bias
     and D != 0 at zero coupling; `ete_hist` is the shuffle-corrected form.
     """
-    t0 = time.perf_counter()
-    v_yx = _te_hist_direction(dm, p.N, "yx")
-    t1 = time.perf_counter()
-    v_xy = _te_hist_direction(dm, p.N, "xy")
-    t2 = time.perf_counter()
+    (v_xy, t_xy), (v_yx, t_yx) = both_directions(_te_hist_direction, dm, p.N)
     if v_yx is None or v_xy is None:
         return IndexEstimate("te_hist", float("nan"), float("nan"), status=STATUS_DEGENERATE)
-    return IndexEstimate("te_hist", v_xy, v_yx, t2 - t1, t1 - t0)
+    return IndexEstimate("te_hist", v_xy, v_yx, t_xy, t_yx)
 
 
 def ete_hist(dm: DelayMatrix, p: HistParams = HistParams(),
@@ -214,24 +208,20 @@ def ete_hist(dm: DelayMatrix, p: HistParams = HistParams(),
         return IndexEstimate("ete_hist", float("nan"), float("nan"), status=base.status)
     rng = np.random.default_rng(e.seed)
     perms = [rng.permutation(dm.source.T) for _ in range(e.n_shuffle)]
-    x, y = dm.source.x, dm.source.y
 
     def shuffled_mean(direction: str) -> float | None:
+        source = sides(direction)[1]
         vals = []
         for perm in perms:
-            pair = SeriesPair(x, y[perm]) if direction == "yx" else SeriesPair(x[perm], y)
+            pair = replace(dm.source, **{source: getattr(dm.source, source)[perm]})
             vals.append(_te_hist_direction(embed(pair, dm.spec), p.N, direction))
         return None if None in vals else float(np.mean(vals))
 
-    t0 = time.perf_counter()
-    s_yx = shuffled_mean("yx")
-    t1 = time.perf_counter()
-    s_xy = shuffled_mean("xy")
-    t2 = time.perf_counter()
+    (s_xy, t_xy), (s_yx, t_yx) = both_directions(shuffled_mean)
     if s_yx is None or s_xy is None:
         return IndexEstimate("ete_hist", float("nan"), float("nan"), status=STATUS_DEGENERATE)
     return IndexEstimate("ete_hist", base.value_xy - s_xy, base.value_yx - s_yx,
-                         base.elapsed_xy + (t2 - t1), base.elapsed_yx + (t1 - t0))
+                         base.elapsed_xy + t_xy, base.elapsed_yx + t_yx)
 
 
 # ---------------------------------------------------------------------------
@@ -430,41 +420,18 @@ def cmi_ksg(a, b, c=None, p: KsgParams = KsgParams()) -> float:
     return _cmi_ksg_impl(a, b, c, p)[0]
 
 
-def _timed(fn, args):
-    t0 = time.perf_counter()
-    result = fn(*args)
-    return result, time.perf_counter() - t0
-
-
-def _both_directions(fn, xy_args: tuple, yx_args: tuple):
-    """((result, elapsed) of fn(*xy_args), (result, elapsed) of fn(*yx_args)).
-
-    With `_concurrent_directions` the yx call runs in one helper thread while
-    this thread runs xy; otherwise yx runs first, then xy, on this thread.
-    The helper is joined before this returns or raises, and an exception of
-    either call propagates unchanged (xy's when both raise).
-    """
-    if not _concurrent_directions:
-        yx = _timed(fn, yx_args)
-        return _timed(fn, xy_args), yx
-    with ThreadPoolExecutor(1) as pool:
-        yx = pool.submit(_timed, fn, yx_args)
-        xy = _timed(fn, xy_args)
-        return xy, yx.result()
-
-
 def _te_ksg_direction(dms: list, p: KsgParams, direction: str) -> tuple[float, bool]:
     """k-NN TE of one direction ("yx": Y -> X, "xy": X -> Y) averaged over the
     delay matrices `dms`, and whether any of its terms was degenerate."""
-    terms = [_cmi_ksg_impl(dm.x_future, dm.y_emb, dm.x_emb, p) if direction == "yx"
-             else _cmi_ksg_impl(dm.y_future, dm.x_emb, dm.y_emb, p) for dm in dms]
+    own, other = sides(direction)
+    terms = [_cmi_ksg_impl(dm.future(own), dm.emb(other), dm.emb(own), p) for dm in dms]
     return float(np.mean([v for v, _ in terms])), any(deg for _, deg in terms)
 
 
 def _te_ksg_estimate(index: str, dms: list, p: KsgParams) -> IndexEstimate:
     """Both directions of `_te_ksg_direction` over `dms` as one estimate."""
-    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = _both_directions(
-        _te_ksg_direction, (dms, p, "xy"), (dms, p, "yx"))
+    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = both_directions(
+        _te_ksg_direction, dms, p, concurrent=_concurrent_directions)
     status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
     return IndexEstimate(index, v_xy, v_yx, t_xy, t_yx, status)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import sides
 from .errors import NonStationaryError, ValidationError
 from .simulate import LpParams
 
@@ -97,10 +98,8 @@ def te_lp_analytic(p: LpParams, direction: str = "yx") -> float:
     closed form in the u, v, w shorthands.
     """
     aux = LpAuxiliary.from_params(p)
-    if direction == "xy":
+    if sides(direction)[0] == "y":  # y is autonomous
         return 0.0
-    if direction != "yx":
-        raise ValidationError(f"unknown direction {direction!r}")
     u, w = aux.u, aux.w
     lam = p.lam
     sx2 = p.var_x
@@ -135,11 +134,7 @@ def ctir_lp_analytic(p: LpParams, tau_max: int, direction: str = "yx") -> float:
     _check_oracle_params(p)
     if tau_max < 1:
         raise ValidationError("tau_max must be >= 1")
-    if direction == "yx":
-        terms = lambda tau: [("x", 0), ("y", 0), ("x", tau)]
-    elif direction == "xy":
-        terms = lambda tau: [("y", 0), ("x", 0), ("y", tau)]
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
-    vals = [_gaussian_cmi(lp_cov_matrix(p, terms(tau))) for tau in range(1, tau_max + 1)]
+    own, other = sides(direction)
+    vals = [_gaussian_cmi(lp_cov_matrix(p, [(own, 0), (other, 0), (own, tau)]))
+            for tau in range(1, tau_max + 1)]
     return float(np.mean(vals))

@@ -127,18 +127,17 @@ def _per_lambda_stats(result, index, points):
     return mu, sigma
 
 
-def summarize_fg(baseline, perturbed, exclude=None) -> PerturbSummary:
+def summarize_fg(baseline, perturbed) -> PerturbSummary:
     """f and g deviation statistics of the perturbed sweep vs the baseline.
 
     f = <mu - mu_hat> / <|mu|> and g = <sigma_hat> / <sigma>, averaged over
-    grid points outside the synchrony exclusion windows. Identical sweeps
-    give f = 0 and g = 1 exactly.
+    grid points outside the synchrony exclusion windows (`ULAM_SYNC_WINDOWS`
+    on ulam, none elsewhere). Identical sweeps give f = 0 and g = 1 exactly.
     """
     base_points = baseline.grid_points()
     if perturbed.grid_points() != base_points:
         raise ValidationError("baseline and perturbed sweeps use different grids")
-    if exclude is None:
-        exclude = ULAM_SYNC_WINDOWS if baseline.simulation == "ulam" else ()
+    exclude = ULAM_SYNC_WINDOWS if baseline.simulation == "ulam" else ()
 
     kept = [pt for pt in base_points if not point_in_windows(pt, exclude)]
     excluded = [pt for pt in base_points if point_in_windows(pt, exclude)]

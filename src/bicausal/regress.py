@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, check_integer
+from .core import (STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, both_directions,
+                   check_integer, sides)
 from .errors import InsufficientPointsError, ValidationError
 from .neighbors import PointSet, _sum_sq, knn_all
 
@@ -66,6 +67,8 @@ class PiParams:
 
     def __post_init__(self):
         check_integer(self.R, "R")
+        if not isinstance(self.include_self, bool):
+            raise ValidationError(f"include_self must be a bool, got {self.include_self!r}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,9 @@ def egc(dm: DelayMatrix, p: EgcParams = EgcParams()) -> IndexEstimate:
     """Local linear error-reduction index averaged over delta-neighbourhoods.
 
     Neighbourhoods live in the joint embedding space and are shared by both
-    directions; a direction is degenerate when no neighbourhood admits a
-    usable pair of fits (typical under synchrony).
+    directions, so the call's time is one shared cost, split evenly between
+    them; a direction is degenerate when no neighbourhood admits a usable
+    pair of fits (typical under synchrony).
     """
     n = dm.n_rows
     # smaller neighbourhoods are skipped: the joint fit has 2m + 1 coefficients
@@ -196,6 +200,8 @@ def nlgc(dm: DelayMatrix, p: NlgcParams = NlgcParams()) -> IndexEstimate:
 
     Self model: intercept + P Gaussian kernels on the own embedding (centers
     from seeded k-means); joint model appends the other variable's kernels.
+    Both directions read the kernels of both series, so the call's time is
+    one shared cost, split evenly between them.
     """
     if p.P > dm.n_rows:
         raise InsufficientPointsError("more RBF centers than rows")
@@ -221,12 +227,12 @@ def nlgc(dm: DelayMatrix, p: NlgcParams = NlgcParams()) -> IndexEstimate:
 def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
     """Predictability improvement: MSE(own-space k-NN predictor) minus
     MSE(joint-space k-NN predictor) for the horizon value; the kNN graphs are
-    the matrix's own (`DelayMatrix.knn_graph`)."""
+    the matrix's own (`DelayMatrix.knn_graph`). yx reads the joint graph,
+    then the x graph, and xy the y graph, so a graph this call builds is
+    charged to the direction that reads it first."""
     n = dm.n_rows
     if n <= p.R + 1:
         raise InsufficientPointsError("need more rows than neighbours")
-
-    t0 = time.perf_counter()
     self_col = np.arange(n)[:, None]
 
     def mse(neighbor_idx, future):
@@ -235,11 +241,11 @@ def pi(dm: DelayMatrix, p: PiParams = PiParams()) -> IndexEstimate:
         pred = future[neighbor_idx].mean(axis=1)
         return float(((future - pred) ** 2).mean())
 
-    idx_z, _ = dm.knn_graph("z", p.R, knn_all)
-    idx_x, _ = dm.knn_graph("x", p.R, knn_all)
-    v_yx = mse(idx_x, dm.x_future) - mse(idx_z, dm.x_future)
-    idx_y, _ = dm.knn_graph("y", p.R, knn_all)
-    v_xy = mse(idx_y, dm.y_future) - mse(idx_z, dm.y_future)
-    elapsed = time.perf_counter() - t0
+    def direction(d):
+        own, _ = sides(d)
+        idx_z, _ = dm.knn_graph("z", p.R, knn_all)
+        idx_own, _ = dm.knn_graph(own, p.R, knn_all)
+        return mse(idx_own, dm.future(own)) - mse(idx_z, dm.future(own))
 
-    return IndexEstimate("pi", v_xy, v_yx, elapsed / 2, elapsed / 2)
+    (v_xy, t_xy), (v_yx, t_yx) = both_directions(direction)
+    return IndexEstimate("pi", v_xy, v_yx, t_xy, t_yx)

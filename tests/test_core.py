@@ -1,4 +1,6 @@
 import gc
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -6,15 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bicausal import (
+    CcmParams,
     EmbeddingSpec,
     IndexEstimate,
+    LpParams,
     SeriesPair,
     UlamParams,
+    ccm_rho_curve,
+    ctir_lp_analytic,
     directed_index,
     embed,
     sim_ulam,
     standardize,
+    te_lp_analytic,
 )
+from bicausal.core import both_directions
 from bicausal.errors import (
     DegenerateSeriesError,
     InsufficientDataError,
@@ -225,3 +233,48 @@ def test_knn_graph_dies_with_its_matrix():
         assert refs[0]() is None
     finally:
         gc.enable()
+
+
+def test_index_estimate_rows():
+    est = IndexEstimate("pi", 1.0, 2.0, 0.5, 0.25)
+    assert est.rows() == [("pi", "xy", 1.0, 0.5, "ok"), ("pi", "yx", 2.0, 0.25, "ok")]
+
+
+_DIRECTION_READERS = {
+    "IndexEstimate.value": lambda d: IndexEstimate("pi", 1.0, 2.0).value(d),
+    "ccm_rho_curve": lambda d: ccm_rho_curve(
+        embed(simulate_pair("ulam", (0.4, 0.0), 300, seed=0), EmbeddingSpec(m=1)),
+        CcmParams(), [10], d),
+    "te_lp_analytic": lambda d: te_lp_analytic(LpParams(lam=0.3, T=1), d),
+    "ctir_lp_analytic": lambda d: ctir_lp_analytic(LpParams(lam=0.3, T=1), 3, d),
+}
+
+
+@pytest.mark.parametrize("reader", list(_DIRECTION_READERS))
+def test_unknown_direction_is_a_validation_error(reader):
+    call = _DIRECTION_READERS[reader]
+    call("xy"), call("yx")
+    for direction in ("sideways", "XY", "", None, ["xy"]):
+        with pytest.raises(ValidationError, match="unknown direction"):
+            call(direction)
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_both_directions_times_each_direction(concurrent):
+    delays = {"xy": 0.05, "yx": 0.15}
+    calls = []
+
+    def fn(tag, direction):
+        calls.append((direction, threading.current_thread() is threading.main_thread()))
+        time.sleep(delays[direction])
+        return tag + direction
+
+    threads = threading.active_count()
+    (xy, t_xy), (yx, t_yx) = both_directions(fn, "v-", concurrent=concurrent)
+    assert (xy, yx) == ("v-xy", "v-yx")
+    assert delays["xy"] <= t_xy < delays["yx"] <= t_yx
+    # yx runs first on the calling thread, or on the helper thread
+    assert sorted(calls) == [("xy", True), ("yx", not concurrent)]
+    if not concurrent:
+        assert calls == [("yx", True), ("xy", True)]
+    assert threading.active_count() == threads

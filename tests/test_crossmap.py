@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,20 @@ def test_si_zero_distance_floor():
     si1, si2 = si_pair(embed(pair, EmbeddingSpec(m=1)), SiParams(R=2))
     assert si1.status == STATUS_DEGENERATE
     assert np.isfinite(si1.value_yx)
+
+
+def test_si_times_each_direction(monkeypatch):
+    # on a fresh matrix yx builds the x and the y graph, and xy only reads them
+    delay = 0.2
+
+    def slow(*args, _fn=crossmap.knn_all, **kwargs):
+        time.sleep(delay)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(crossmap, "knn_all", slow)
+    for est in si_pair(embed(chaotic_pair(400, seed=1), EmbeddingSpec(m=2)), SiParams(R=5)):
+        assert 2 * delay <= est.elapsed_yx < 3 * delay
+        assert est.elapsed_xy < delay
 
 
 def test_si_needs_rows():

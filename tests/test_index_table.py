@@ -155,6 +155,8 @@ def _integer_field(cls, name, minimum):
     pytest.param(regress.NlgcParams, "var", 0.05, (math.nan, math.inf, 0.0), id="NlgcParams.var"),
     pytest.param(crossmap.CcmParams, "delta_rho", -0.1, (math.nan, math.inf, -math.inf),
                  id="CcmParams.delta_rho"),
+    pytest.param(regress.PiParams, "include_self", True, ("no", 1, None),
+                 id="PiParams.include_self"),
 ])
 def test_estimator_params_reject_malformed_fields(cls, name, good, bad):
     assert getattr(cls(**{name: good}), name) == good

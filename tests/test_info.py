@@ -28,7 +28,7 @@ from bicausal import (
     te_lp_analytic,
     te_lp_small_lam,
 )
-from bicausal.core import STATUS_DEGENERATE, STATUS_OK
+from bicausal.core import STATUS_DEGENERATE, STATUS_OK, both_directions
 from bicausal.errors import (
     InsufficientDataError,
     InsufficientPointsError,
@@ -404,26 +404,26 @@ def test_concurrent_directions_equal_serial(monkeypatch, case):
 
 @pytest.mark.parametrize("swap", [False, True], ids=["helper-thread", "main-thread"])
 @pytest.mark.parametrize("concurrent", [False, True])
-def test_ctir_direction_error_propagates(monkeypatch, swap, concurrent):
-    # ctir's per-direction function through `_both_directions`, with one
+def test_ctir_direction_error_propagates(swap, concurrent):
+    # ctir's per-direction function through `core.both_directions`, with one
     # direction given a lag matrix of fewer than k+1 rows: yx (the helper
     # thread's when concurrent) without the swap, xy (the calling thread's)
     # with it
-    monkeypatch.setattr(info, "_concurrent_directions", concurrent)
     pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
     good = [embed(pair, EmbeddingSpec(m=1, h=tau)) for tau in (1, 2)]
     short = good + [embed(SeriesPair(pair.x[:4], pair.y[:4]), EmbeddingSpec(m=1))]
+    failing = "xy" if swap else "yx"
     raised_on_main = []
 
-    def direction(dms, p, d):
-        if dms is short:
+    def direction(p, d):
+        if d == failing:
             raised_on_main.append(threading.current_thread() is threading.main_thread())
-        return info._te_ksg_direction(dms, p, d)
+            return info._te_ksg_direction(short, p, d)
+        return info._te_ksg_direction(good, p, d)
 
-    xy, yx = (short, good) if swap else (good, short)
     threads = threading.active_count()
     with pytest.raises(InsufficientPointsError):
-        info._both_directions(direction, (xy, KsgParams(), "xy"), (yx, KsgParams(), "yx"))
+        both_directions(direction, KsgParams(), concurrent=concurrent)
     assert raised_on_main == [swap or not concurrent]
     assert threading.active_count() == threads
 
@@ -455,7 +455,7 @@ def test_ctir_no_complete_row_at_a_later_lag(monkeypatch):
     def no_directions(*args):
         raise AssertionError("the directions started")
 
-    monkeypatch.setattr(info, "_both_directions", no_directions)
+    monkeypatch.setattr(info, "both_directions", no_directions)
     threads = threading.active_count()
     with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
         ctir(dm, CtirParams(tau_max=2))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from bicausal import (
     pi,
     sim_lp,
 )
-from bicausal import harness
+from bicausal import harness, regress
 from bicausal.core import STATUS_DEGENERATE
 from bicausal.errors import InsufficientPointsError, ValidationError
 
@@ -261,6 +263,20 @@ def test_pi_include_self_quarters_at_r1():
     incl = pi(dm, PiParams(R=1, include_self=True))
     assert incl.value_yx == pytest.approx(excl.value_yx / 4.0, rel=1e-12)
     assert incl.value_xy == pytest.approx(excl.value_xy / 4.0, rel=1e-12)
+
+
+def test_pi_times_each_direction(monkeypatch):
+    # on a fresh matrix yx builds the joint and the x graph, xy the y graph
+    delay = 0.2
+
+    def slow(*args, _fn=regress.knn_all, **kwargs):
+        time.sleep(delay)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(regress, "knn_all", slow)
+    est = pi(embed(_driven_pair(T=600, seed=0), EmbeddingSpec(m=1)), PiParams(R=2))
+    assert 2 * delay <= est.elapsed_yx < 3 * delay
+    assert delay <= est.elapsed_xy < 2 * delay
 
 
 def test_pi_requires_enough_rows():
