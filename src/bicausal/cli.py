@@ -22,16 +22,10 @@ from .errors import BicausalError, ValidationError
 from .perturb import PerturbationSpec, summarize_fg
 from .simulate import LpParams
 
-PRESET_IDS = {
-    "lp-1e4": ("lp", 10**4),
-    "ulam-1e3": ("ulam", 10**3),
-    "ulam-1e5": ("ulam", 10**5),
-    "henon-uni-1e3": ("henon_uni", 10**3),
-    "henon-uni-1e4": ("henon_uni", 10**4),
-    "henon-uni-1e5": ("henon_uni", 10**5),
-    "henon-bi-i-1e4": ("henon_bi_i", 10**4),
-    "henon-bi-ni-1e4": ("henon_bi_ni", 10**4),
-}
+# preset id -> (simulation, T): one per published length of each system, as
+# "<system>-1e<exponent>" with the system's underscores as hyphens
+PRESET_IDS = {f"{name.replace('_', '-')}-1e{round(math.log10(T))}": (name, T)
+              for name, sim in harness.SIMULATION_TABLE.items() for T in sim.presets}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,6 +17,10 @@ class InsufficientPointsError(BicausalError):
     """A neighbour query asked for more points than are available."""
 
 
+class DistanceOverflowError(BicausalError):
+    """Sums of squared distances between the points overflow the float range."""
+
+
 class DegenerateSeriesError(BicausalError):
     """A series is constant (or otherwise has no usable variance)."""
 

@@ -1,8 +1,12 @@
 """Sweep execution, the simulation and index tables, per-simulation parameter
 presets, correlation matrices, timing summaries and CSV/manifest persistence.
 
-`SIMULATION_TABLE` describes each simulated system; `simulate_units`, the one
-simulate path, serves `simulate_pair` and every sweep unit.
+`SIMULATION_TABLE` holds each simulated system's facts once: its coupling
+range, its simulator and the published index parameters at each series
+length it is studied at. `index_presets`, a sweep's default T (the shortest
+published length) and the command line's preset ids read it, and
+`simulate_units`, the one simulate path, runs the system's simulate field
+for `simulate_pair` and every sweep unit.
 `INDEX_TABLE` gives, for each of the ten indices, the embedding it reads and
 the estimator call, with its preset parameters, that computes it;
 `compute_indices` runs the requested entries on one pair and builds each
@@ -24,7 +28,7 @@ import platform
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy
@@ -45,27 +49,62 @@ from .errors import (BicausalError, InsufficientDataError, NumericalEscapeError,
 from .perturb import PerturbationSpec, apply_perturbation
 
 
-# name -> Simulation(hi, axes, T, params, run). Couplings lie in [0, hi]; a
-# grid value sets those named in `axes` (lambda_xy "xy", lambda_yx "yx"), the
-# other is 0. T is the default length, params(point, T, seed) the simulator's
-# parameters at a (lambda_xy, lambda_yx) point, run(params) the simulator (None
-# for ulam: its rings run as one `sim_ulam_batch`). Like INDEX_TABLE's calls,
-# the lambdas look their names up on `simulate` when they run.
-Simulation = namedtuple("Simulation", "hi axes T params run")
+# The published index parameters, as far as the systems and lengths share
+# them; SIMULATION_TABLE's presets hold what differs.
+PRESETS_VERSION = "reference-parameters-v1"
+_SHARED_PRESETS = {
+    "m": 2, "egc": regress.EgcParams(L=100, delta=0.5),
+    "nlgc": regress.NlgcParams(P=50, var=0.05), "pi": regress.PiParams(R=1, include_self=True),
+    "pi_m": 2, "te_hist": info.HistParams(N=8), "ete_hist": info.EteParams(n_shuffle=10),
+    "te_ksg": info.KsgParams(k=4), "ctir": info.CtirParams(tau_max=5, k=4),
+    "si1": crossmap.SiParams(R=20), "si2": crossmap.SiParams(R=20),
+    "ccm": crossmap.CcmParams(n_t=40, delta_rho=0.05),
+}
+
+# name -> Simulation(hi, axes, params, simulate, presets). Couplings lie in
+# [0, hi]; a grid value sets those named in `axes` (lambda_xy "xy", lambda_yx
+# "yx"), the other is 0. params(point, T, seed) is the simulator's parameter
+# object at a (lambda_xy, lambda_yx) point; simulate(list of them) returns one
+# pair per object, None where the orbit escaped (Ulam rings run as one
+# `sim_ulam_batch`). presets maps each published series length to the index
+# parameters that differ there from _SHARED_PRESETS: a value replaces a key's
+# value, a dict the named fields of its parameter object. Like INDEX_TABLE's
+# calls, the lambdas look their names up on `simulate` when they run.
+Simulation = namedtuple("Simulation", "hi axes params simulate presets")
+
+
+def _one_by_one(run):
+    """A simulate field that runs `run` on each parameter object in turn."""
+    def simulate_all(params):
+        pairs = []
+        for p in params:
+            try:
+                pairs.append(run(p))
+            except NumericalEscapeError:
+                pairs.append(None)
+        return pairs
+    return simulate_all
 
 
 def _henon_bi(**kw) -> Simulation:
-    return Simulation(0.4, ("xy", "yx"), 10**4, lambda pt, T, seed: simulate.HenonBiParams(
-        lam_xy=pt[0], lam_yx=pt[1], T=T, seed=seed, **kw), lambda p: simulate.sim_henon_bi(p))
+    return Simulation(0.4, ("xy", "yx"), lambda pt, T, seed: simulate.HenonBiParams(
+        lam_xy=pt[0], lam_yx=pt[1], T=T, seed=seed, **kw),
+        _one_by_one(lambda p: simulate.sim_henon_bi(p)),
+        {10**4: {"egc": {"delta": 0.6}, "nlgc": {"P": 10}, "si2": {"R": 100}}})
 
 
 SIMULATION_TABLE = {
-    "lp": Simulation(1.0, ("yx",), 10**4, lambda pt, T, seed: simulate.LpParams(
-        lam=pt[1], T=T, seed=seed), lambda p: simulate.sim_lp(p)),
-    "ulam": Simulation(1.0, ("xy",), 10**3, lambda pt, T, seed: simulate.UlamParams(
-        lam=pt[0], T=T, seed=seed), None),
-    "henon_uni": Simulation(1.0, ("xy",), 10**3, lambda pt, T, seed: simulate.HenonUniParams(
-        lam=pt[0], T=T, seed=seed), lambda p: simulate.sim_henon_uni(p)),
+    "lp": Simulation(1.0, ("yx",), lambda pt, T, seed: simulate.LpParams(
+        lam=pt[1], T=T, seed=seed), _one_by_one(lambda p: simulate.sim_lp(p)),
+        {10**4: {"egc": {"L": 20, "delta": 0.8}, "nlgc": {"P": 10}, "pi": {"R": 10},
+                 "pi_m": 1, "ctir": {"tau_max": 20}, "si1": {"R": 10}, "si2": {"R": 30}}}),
+    "ulam": Simulation(1.0, ("xy",), lambda pt, T, seed: simulate.UlamParams(
+        lam=pt[0], T=T, seed=seed), lambda params: simulate.sim_ulam_batch(params),
+        {10**3: {"m": 1, "pi_m": 1}, 10**5: {"m": 1, "pi_m": 1, "egc": {"delta": 0.2}}}),
+    "henon_uni": Simulation(1.0, ("xy",), lambda pt, T, seed: simulate.HenonUniParams(
+        lam=pt[0], T=T, seed=seed), _one_by_one(lambda p: simulate.sim_henon_uni(p)),
+        {10**3: {}, 10**4: {"egc": {"delta": 0.3}},
+         10**5: {"egc": {"delta": 0.2}, "nlgc": {"P": 100}}}),
     "henon_bi_i": _henon_bi(),
     "henon_bi_ni": _henon_bi(b_y=0.1),
 }
@@ -76,6 +115,22 @@ def _entry(simulation: str) -> Simulation:
     if simulation not in SIMULATION_TABLE:
         raise ValidationError(f"unknown simulation {simulation!r}")
     return SIMULATION_TABLE[simulation]
+
+
+def index_presets(simulation: str, T: int) -> dict:
+    """Published parameter set for every index on one simulated system.
+
+    The parameters of the published length nearest to T on a log scale
+    (|log(T / length)| in floating point; a tie goes to the shorter length):
+    `_SHARED_PRESETS` with that length's changes from SIMULATION_TABLE.
+    """
+    presets = _entry(simulation).presets
+    check_integer(T, "T")
+    nearest = min(presets, key=lambda t: (abs(math.log(T / t)), t))
+    out = dict(_SHARED_PRESETS)
+    for key, value in presets[nearest].items():
+        out[key] = replace(out[key], **value) if isinstance(value, dict) else value
+    return out
 
 
 # name -> (embedding dimension, call(dm, presets), graph k).
@@ -121,72 +176,18 @@ def check_index_names(names) -> tuple:
 CSV_HEADER = ["simulation", "lambda_xy", "lambda_yx", "run", "index",
               "direction", "value", "elapsed_seconds", "status"]
 
-PRESETS_VERSION = "reference-parameters-v1"
-
-
-# ---------------------------------------------------------------------------
-# per-simulation index parameter presets
-
-
-def _nearest(table: dict, T: int):
-    key = min(table, key=lambda t: (abs(math.log(T / t)), t))
-    return table[key]
-
-
-def index_presets(simulation: str, T: int) -> dict:
-    """Reference parameter set for every index on one simulated system.
-
-    Values follow the published benchmark configuration; T values between
-    the listed sizes fall back to the nearest listed size (log scale).
-    """
-    _entry(simulation)
-    check_integer(T, "T")
-    lp = simulation == "lp"
-    ulam = simulation == "ulam"
-    henon_bi = simulation.startswith("henon_bi")
-
-    m_common = 1 if ulam else 2
-    if lp:
-        egc = regress.EgcParams(L=20, delta=0.8)
-    elif ulam:
-        egc = regress.EgcParams(L=100, delta=_nearest({10**3: 0.5, 10**5: 0.2}, T))
-    elif henon_bi:
-        egc = regress.EgcParams(L=100, delta=0.6)
-    else:
-        egc = regress.EgcParams(L=100, delta=_nearest({10**3: 0.5, 10**4: 0.3, 10**5: 0.2}, T))
-
-    if lp or henon_bi:
-        nlgc_P = 10
-    elif ulam:
-        nlgc_P = 50
-    else:
-        nlgc_P = _nearest({10**3: 50, 10**4: 50, 10**5: 100}, T)
-
-    return {
-        "m": m_common,
-        "egc": egc,
-        "nlgc": regress.NlgcParams(P=nlgc_P, var=0.05),
-        "pi": regress.PiParams(R=10 if lp else 1, include_self=True),
-        "pi_m": 1 if lp else m_common,
-        "te_hist": info.HistParams(N=8),
-        "ete_hist": info.EteParams(n_shuffle=10),
-        "te_ksg": info.KsgParams(k=4),
-        "ctir": info.CtirParams(tau_max=20 if lp else 5, k=4),
-        "si1": crossmap.SiParams(R=10 if lp else 20),
-        "si2": crossmap.SiParams(R=30 if lp else (100 if henon_bi else 20)),
-        "ccm": crossmap.CcmParams(n_t=40, delta_rho=0.05),
-    }
-
-
 # ---------------------------------------------------------------------------
 # sweep configuration and records
 
 
 def normalize_point(simulation: str, coupling) -> tuple[float, float]:
     """Map a user grid entry to the (lambda_xy, lambda_yx) pair. Accepts an
-    already-normalized pair for any simulation (idempotent)."""
+    already-normalized pair for any simulation (idempotent); a tuple or list
+    must hold exactly two couplings."""
     sim = _entry(simulation)
     if isinstance(coupling, (tuple, list)):
+        if len(coupling) != 2:
+            raise ValidationError(f"a coupling pair holds two values, got {coupling!r}")
         point = (float(coupling[0]), float(coupling[1]))
         if any(v != 0.0 for v, axis in zip(point, ("xy", "yx")) if axis not in sim.axes):
             raise ValidationError(f"{simulation} sweeps one coupling; the other must be 0")
@@ -230,7 +231,7 @@ class SweepConfig:
     def __post_init__(self):
         sim = _entry(self.simulation)
         if self.T is None:
-            object.__setattr__(self, "T", sim.T)
+            object.__setattr__(self, "T", min(sim.presets))
         for name in ("T", "runs", "workers"):
             check_integer(getattr(self, name), name)
         check_integer(self.base_seed, "base_seed", minimum=0)
@@ -293,19 +294,10 @@ class SweepResult:
 
 
 def simulate_units(simulation: str, units, T: int) -> list:
-    """One pair per (point, seed) unit, or None where the orbit escaped.
-    Ulam rings are simulated as one batch, the other systems one by one."""
+    """One pair per (point, seed) unit, or None where the orbit escaped: the
+    system's simulate field on the units' parameter objects."""
     sim = _entry(simulation)
-    params = [sim.params(point, T, seed) for point, seed in units]
-    if simulation == "ulam":
-        return simulate.sim_ulam_batch(params)
-    pairs = []
-    for p in params:
-        try:
-            pairs.append(sim.run(p))
-        except NumericalEscapeError:
-            pairs.append(None)
-    return pairs
+    return sim.simulate([sim.params(point, T, seed) for point, seed in units])
 
 
 def simulate_pair(simulation: str, point: tuple[float, float], T: int,

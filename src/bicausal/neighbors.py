@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InsufficientPointsError, ValidationError
+from .errors import DistanceOverflowError, InsufficientPointsError, ValidationError
 
 # distances this close (relative) are treated as tied and resolved exactly
 _TIE_RTOL = 1e-9
@@ -69,6 +69,16 @@ def pairwise_distance(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(_sum_sq(diff))
 
 
+def check_distance_range(points: np.ndarray):
+    """DistanceOverflowError unless n times the squared diagonal of the n
+    points' bounding box is finite, which bounds every sum of up to n of
+    their squared distances (the kd-tree drops overflowed neighbours)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = len(points) * _sum_sq(np.ptp(points, axis=0))
+    if not np.isfinite(bound):
+        raise DistanceOverflowError("squared distances between the points overflow")
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """Immutable set of fixed-dimension points, queried via a shared kd-tree."""
@@ -84,6 +94,7 @@ class PointSet:
             raise ValidationError("points must be a non-empty (n, d) array")
         if not np.isfinite(pts).all():
             raise ValidationError("points must be finite")
+        check_distance_range(pts)
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -188,10 +199,12 @@ def knn_all(pset: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:
 def seeded_jitter(points: np.ndarray, scale: float, seed) -> np.ndarray:
     """Add seeded Gaussian jitter, amplitude scale x per-column std.
 
-    Constant columns get absolute amplitude `scale`. Used by neighbour-based
+    Constant columns get absolute amplitude `scale`, and points that fail
+    `check_distance_range` raise DistanceOverflowError. Used by neighbour
     estimators to break exact distance ties on discretised data.
     """
     pts = np.asarray(points, dtype=float)
+    check_distance_range(pts)
     rng = np.random.default_rng(seed)
     amp = np.where(pts.std(axis=0) == 0.0, 1.0, pts.std(axis=0))
     return pts + rng.normal(0.0, 1.0, size=pts.shape) * (scale * amp)

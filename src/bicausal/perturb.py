@@ -48,10 +48,6 @@ class PerturbationSpec:
         check_integer(self.seed, "seed", minimum=0)
 
 
-def _targets(spec: PerturbationSpec):
-    return ("x", "y") if spec.target == "both" else (spec.target,)
-
-
 def _round_half_away(values: np.ndarray, decimals: int) -> np.ndarray:
     scale = 10.0**decimals
     scaled = values * scale
@@ -76,7 +72,7 @@ def apply_perturbation(pair: SeriesPair, spec: PerturbationSpec,
         return standardize(pair)
 
     data = {"x": pair.x.copy(), "y": pair.y.copy()}
-    for name in _targets(spec):
+    for name in ("x", "y") if spec.target == "both" else (spec.target,):
         if spec.kind == "scale":
             data[name] = data[name] * spec.factor
         elif spec.kind == "round":
@@ -111,20 +107,16 @@ def point_in_windows(point, windows) -> bool:
 
 
 def _per_lambda_stats(result, index, points):
-    """(mu, sigma) arrays of the directed index per grid point."""
+    """(mu, sigma) rows of the directed index per grid point: the mean and
+    std of its finite values there, NaN where none is finite."""
     d_by_point = result.directed_by_point(index)
-    mu = np.empty(len(points))
-    sigma = np.empty(len(points))
+    stats = np.full((2, len(points)), np.nan)
     for i, pt in enumerate(points):
         vals = np.asarray(d_by_point[pt], dtype=float)
         vals = vals[np.isfinite(vals)]
-        if len(vals) == 0:
-            mu[i] = np.nan
-            sigma[i] = np.nan
-        else:
-            mu[i] = vals.mean()
-            sigma[i] = vals.std()
-    return mu, sigma
+        if len(vals):
+            stats[:, i] = vals.mean(), vals.std()
+    return stats
 
 
 def summarize_fg(baseline, perturbed) -> PerturbSummary:

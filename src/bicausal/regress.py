@@ -12,7 +12,7 @@ import numpy as np
 from .core import (STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, both_directions,
                    check_integer, sides)
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, _sum_sq, knn_all
+from .neighbors import PointSet, _sum_sq, check_distance_range, knn_all
 
 # relative floor below which a local self-fit counts as deterministic
 _EPS_FLOOR = 1e-13
@@ -98,11 +98,13 @@ def ols_fit(design: np.ndarray, target: np.ndarray) -> OlsResult:
 def kmeans(points, P: int, seed=0) -> np.ndarray:
     """Seeded k-means: D^2-weighted init, Lloyd iterations until assignments
     are stable or `_KMEANS_MAX_ITER` have run; empty clusters are re-seeded
-    at the farthest point."""
+    at the farthest point. Points whose squared distances overflow raise
+    DistanceOverflowError."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     n = pts.shape[0]
+    check_distance_range(pts)
     if P > len(np.unique(pts, axis=0)):
         raise InsufficientPointsError("P exceeds the number of distinct points")
     rng = np.random.default_rng(seed)

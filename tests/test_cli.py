@@ -169,6 +169,35 @@ def test_perturb_standardize_fg_row(tmp_path):
     assert manifest["status_counts"] == {"baseline": counts, "perturbed": counts}
 
 
+def test_perturb_scale_past_overflow_records_degenerate(tmp_path):
+    # at 1e200 squared distances overflow: pi used to abort the sweep with an
+    # IndexError from the kNN query; te_ksg's max-norm counts stay finite
+    code = run_cli("perturb", "--preset", "ulam-1e3", "--T", "300", "--kind", "scale",
+                   "--factor", "1e200", "--grid", "0.4:0.4:0.1", "--runs", "1",
+                   "--indices", "te_ksg,pi", "-o", str(tmp_path))
+    assert code == 0
+    rows = list(csv.DictReader(open(tmp_path / "perturbed.csv")))
+    status = {(r["index"], r["direction"]): r["status"] for r in rows}
+    assert status == {("pi", "xy"): "degenerate", ("pi", "yx"): "degenerate",
+                      ("te_ksg", "xy"): "ok", ("te_ksg", "yx"): "ok"}
+    assert all(r["value"] == "NA" for r in rows if r["index"] == "pi")
+    assert (tmp_path / "fg.csv").exists()
+
+
+def test_preset_ids_are_the_published_lengths():
+    # derived from SIMULATION_TABLE: a slip in the derivation changes an id
+    assert PRESET_IDS == {
+        "lp-1e4": ("lp", 10**4),
+        "ulam-1e3": ("ulam", 10**3),
+        "ulam-1e5": ("ulam", 10**5),
+        "henon-uni-1e3": ("henon_uni", 10**3),
+        "henon-uni-1e4": ("henon_uni", 10**4),
+        "henon-uni-1e5": ("henon_uni", 10**5),
+        "henon-bi-i-1e4": ("henon_bi_i", 10**4),
+        "henon-bi-ni-1e4": ("henon_bi_ni", 10**4),
+    }
+
+
 def test_bad_flags_exit_1(tmp_path):
     assert run_cli("sweep", "--preset", "nope", "-o", str(tmp_path)) == 1
     assert run_cli("oracle", "--lambda", "1:0:0.1", "-o", str(tmp_path)) == 1

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bicausal import (
     EmbeddingSpec,
@@ -38,27 +41,45 @@ def small_ulam_sweep():
     return run_sweep(cfg)
 
 
+# the published parameters that differ between systems and lengths:
+# (m, egc L, egc delta, nlgc P, pi R, pi_m, ctir tau_max, si1 R, si2 R)
+PUBLISHED = {
+    ("lp", 10**4): (2, 20, 0.8, 10, 10, 1, 20, 10, 30),
+    ("ulam", 10**3): (1, 100, 0.5, 50, 1, 1, 5, 20, 20),
+    ("ulam", 10**5): (1, 100, 0.2, 50, 1, 1, 5, 20, 20),
+    ("henon_uni", 10**3): (2, 100, 0.5, 50, 1, 2, 5, 20, 20),
+    ("henon_uni", 10**4): (2, 100, 0.3, 50, 1, 2, 5, 20, 20),
+    ("henon_uni", 10**5): (2, 100, 0.2, 100, 1, 2, 5, 20, 20),
+    ("henon_bi_i", 10**4): (2, 100, 0.6, 10, 1, 2, 5, 20, 100),
+    ("henon_bi_ni", 10**4): (2, 100, 0.6, 10, 1, 2, 5, 20, 100),
+}
+
+
+def _varying(ps) -> tuple:
+    return (ps["m"], ps["egc"].L, ps["egc"].delta, ps["nlgc"].P, ps["pi"].R, ps["pi_m"],
+            ps["ctir"].tau_max, ps["si1"].R, ps["si2"].R)
+
+
 def test_presets_match_reference_table():
-    lp = index_presets("lp", 10**4)
-    assert lp["m"] == 2 and lp["egc"].L == 20 and lp["egc"].delta == 0.8
-    assert lp["nlgc"].P == 10 and lp["pi"].R == 10 and lp["pi_m"] == 1
-    assert lp["ctir"].tau_max == 20
-    assert lp["si1"].R == 10 and lp["si2"].R == 30
-
-    ul = index_presets("ulam", 10**3)
-    assert ul["m"] == 1 and ul["egc"].delta == 0.5 and ul["nlgc"].P == 50
-    assert ul["pi"].R == 1 and ul["ctir"].tau_max == 5
-    assert ul["si1"].R == 20 and ul["si2"].R == 20
-    assert index_presets("ulam", 10**5)["egc"].delta == 0.2
-
-    hu = index_presets("henon_uni", 10**4)
-    assert hu["m"] == 2 and hu["egc"].delta == 0.3
-    assert index_presets("henon_uni", 10**5)["nlgc"].P == 100
-
-    hb = index_presets("henon_bi_i", 10**4)
-    assert hb["egc"].delta == 0.6 and hb["nlgc"].P == 10 and hb["si2"].R == 100
-    # unlisted T falls back to the nearest listed size
+    assert {(s, T) for s, sim in harness.SIMULATION_TABLE.items()
+            for T in sim.presets} == set(PUBLISHED)
+    for (simulation, T), want in PUBLISHED.items():
+        ps = index_presets(simulation, T)
+        assert _varying(ps) == want, (simulation, T)
+        # the parameters every system shares
+        assert ps["egc"].seed == 0 and ps["nlgc"].var == 0.05 and ps["nlgc"].seed == 0
+        assert ps["pi"].include_self is True and ps["te_hist"].N == 8
+        assert ps["ete_hist"].n_shuffle == 10 and ps["te_ksg"].k == 4 and ps["ctir"].k == 4
+        assert ps["ccm"].n_t == 40 and ps["ccm"].delta_rho == 0.05
+    # an unlisted T takes the nearest published length on a log scale
     assert index_presets("henon_uni", 2 * 10**3)["egc"].delta == 0.5
+    assert index_presets("henon_uni", 3162)["egc"].delta == 0.5
+    assert index_presets("henon_uni", 3163)["egc"].delta == 0.3
+    assert index_presets("ulam", 10**4 - 1)["egc"].delta == 0.5
+    # ulam's 10^4 lies midway between 10^3 and 10^5, but in floating point
+    # log(10^4 / 10^3) rounds above -log(10^4 / 10^5): it takes 10^5's delta
+    assert index_presets("ulam", 10**4)["egc"].delta == 0.2
+    assert _varying(index_presets("lp", 8)) == PUBLISHED["lp", 10**4]
 
 
 def test_normalize_point_conventions():
@@ -69,6 +90,12 @@ def test_normalize_point_conventions():
         normalize_point("ulam", 1.2)
     with pytest.raises(ValidationError):
         normalize_point("henon_bi_i", (0.5, 0.0))
+    # a pair holds exactly two couplings; a third was once dropped unchecked
+    for entry in ((0.1,), [0.2], (0.0, 0.2, 9.0)):
+        with pytest.raises(ValidationError, match="holds two values"):
+            normalize_point("lp", entry)
+    with pytest.raises(ValidationError, match="holds two values"):
+        SweepConfig("lp", couplings=[(0.0, 0.2, 9.0)])
 
 
 def test_desk_grid_shapes():
@@ -109,6 +136,44 @@ def test_sweep_degenerate_never_aborts():
     assert len(res.records) == 4
     assert all(np.isfinite(r.value) or r.status != "ok" for r in res.records)
     assert any(r.status == "degenerate" for r in res.records)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_at_half_range(simulation: str) -> SeriesPair:
+    sim = harness.SIMULATION_TABLE[simulation]
+    point = normalize_point(simulation, (sim.hi / 2,) * 2 if len(sim.axes) == 2 else sim.hi / 2)
+    return harness.simulate_pair(simulation, point, 200, 0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(simulation=st.sampled_from(sorted(harness.SIMULATION_TABLE)),
+       exponent=st.integers(-300, 300), values=st.sampled_from(("raw", "rounded", "constant")),
+       T=st.sampled_from((8, 30, 200)), missing=st.sampled_from((0.0, 0.5, 0.9)))
+# squared distances overflow from about 1e154 on: these used to raise
+# IndexError (pi, si1, si2, ccm) and ValueError (nlgc's k-means)
+@example(simulation="lp", exponent=200, values="raw", T=200, missing=0.0)
+@example(simulation="ulam", exponent=155, values="raw", T=200, missing=0.0)
+@example(simulation="henon_bi_ni", exponent=300, values="rounded", T=200, missing=0.5)
+def test_extreme_inputs_give_ok_or_degenerate_estimates(simulation, exponent, values, T,
+                                                         missing):
+    # scale 10^exponent, few distinct values (rounded before scaling) or a
+    # constant x, short series and heavy missingness: every index comes
+    # back ok or degenerate, and nothing raises
+    pair = _pair_at_half_range(simulation)
+    x, y = pair.x[:T].copy(), pair.y[:T].copy()
+    if values == "rounded":
+        x, y = np.round(x), np.round(y)
+    elif values == "constant":
+        x[:] = 1.0
+    gone = np.random.default_rng(0).random((2, T)) < missing
+    x[gone[0]], y[gone[1]] = np.nan, np.nan
+    scaled = SeriesPair(x * 10.0**exponent, y * 10.0**exponent)
+    with warnings.catch_warnings():
+        # overflowed or underflowed arithmetic on the way to a degenerate fit
+        warnings.simplefilter("ignore", RuntimeWarning)
+        estimates = harness.compute_indices(scaled, simulation, T)
+    assert [e.index for e in estimates] == list(harness.INDEX_NAMES)
+    assert {e.status for e in estimates} <= {"ok", "degenerate"}
 
 
 def test_data_size_perturbation_resimulates():
