@@ -14,12 +14,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import harness, oracle
-from .core import STATUS_OK
+from .core import STATUS_OK, check_integer
 from .errors import BicausalError, ValidationError
-from .perturb import PerturbationSpec, summarize_fg
+from .perturb import KINDS, PerturbationSpec, summarize_fg
 from .simulate import LpParams
 
 # preset id -> (simulation, T): one per published length of each system, as
@@ -154,9 +154,8 @@ def build_parser() -> _Parser:
 
     p_pert = subs.add_parser("perturb", help="baseline + perturbed sweep and f/g table")
     _add_sweep_flags(p_pert)
-    p_pert.add_argument("--kind", required=True,
-                        choices=["standardize", "scale", "round", "missing",
-                                 "noise", "data-size"])
+    # data-size is a sweep at --data-size's length, not a transform of the pair
+    p_pert.add_argument("--kind", required=True, choices=[*KINDS, "data-size"])
     p_pert.add_argument("--target", default="both", choices=["x", "y", "both"])
     p_pert.add_argument("--factor", type=float, default=10.0)
     p_pert.add_argument("--decimals", type=int, default=1)
@@ -229,19 +228,12 @@ def _cmd_indices(args) -> int:
     return 0
 
 
-def _sweep_config(args, perturbation=None) -> harness.SweepConfig:
+def _sweep_config(args) -> harness.SweepConfig:
     simulation, T = PRESET_IDS[args.preset]
-    T = T if args.T is None else args.T
     return harness.SweepConfig(
-        simulation=simulation,
-        couplings=tuple(_grid_for(simulation, args.grid)),
-        T=T,
-        runs=args.runs,
-        indices=_indices_list(args.indices),
-        base_seed=args.seed,
-        perturbation=perturbation,
-        workers=args.workers,
-    )
+        simulation, tuple(_grid_for(simulation, args.grid)), T if args.T is None else args.T,
+        runs=args.runs, indices=_indices_list(args.indices), base_seed=args.seed,
+        workers=args.workers)
 
 
 def _timed_sweeps(**cfgs) -> tuple[dict, dict]:
@@ -267,13 +259,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    kind = args.kind.replace("-", "_")
-    spec = PerturbationSpec(kind=kind, target=args.target, factor=args.factor,
-                            decimals=args.decimals, fraction=args.fraction,
-                            noise_var=args.noise_var, data_size=args.data_size,
-                            seed=args.seed)
     base_cfg = _sweep_config(args)
-    pert_cfg = replace(base_cfg, perturbation=spec)
+    if args.kind == "data-size":
+        # checked here: T=None would fall back to the default length
+        check_integer(args.data_size, "--data-size")
+        pert_cfg = replace(base_cfg, T=args.data_size)
+        recorded = {"kind": "data_size", "data_size": args.data_size}
+    else:
+        spec = PerturbationSpec(kind=args.kind, target=args.target, factor=args.factor,
+                                decimals=args.decimals, fraction=args.fraction,
+                                noise_var=args.noise_var, seed=args.seed)
+        pert_cfg = replace(base_cfg, perturbation=spec)
+        recorded = asdict(spec)
     results, totals = _timed_sweeps(baseline=base_cfg, perturbed=pert_cfg)
     baseline, perturbed = results["baseline"], results["perturbed"]
     summary = summarize_fg(baseline, perturbed)
@@ -281,7 +278,8 @@ def _cmd_perturb(args) -> int:
     harness.sweep_to_csv(baseline, os.path.join(outdir, "baseline.csv"))
     harness.sweep_to_csv(perturbed, os.path.join(outdir, "perturbed.csv"))
     harness.fg_to_csv(summary, os.path.join(outdir, "fg.csv"))
-    harness.write_manifest(os.path.join(outdir, "manifest.json"), pert_cfg, totals)
+    harness.write_manifest(os.path.join(outdir, "manifest.json"), base_cfg,
+                           {**totals, "perturbation": recorded})
     print(os.path.join(outdir, "fg.csv"))
     return 0
 

@@ -2,11 +2,11 @@
 presets, correlation matrices, timing summaries and CSV/manifest persistence.
 
 `SIMULATION_TABLE` holds each simulated system's facts once: its coupling
-range, its simulator and the published index parameters at each series
-length it is studied at. `index_presets`, a sweep's default T (the shortest
-published length) and the command line's preset ids read it, and
-`simulate_units`, the one simulate path, runs the system's simulate field
-for `simulate_pair` and every sweep unit.
+range, its simulator, its synchrony windows and the published index
+parameters at each series length it is studied at. `index_presets`, a sweep's
+default T (the shortest published length), the f/g summary's exclusions and
+the command line's preset ids read it, and `simulate_units`, the one simulate
+path, runs the system's simulate field for `simulate_pair` and every unit.
 `INDEX_TABLE` gives, for each of the ten indices, the embedding it reads and
 the estimator call, with its preset parameters, that computes it;
 `compute_indices` runs the requested entries on one pair and builds each
@@ -46,7 +46,7 @@ from .core import (
 )
 from .errors import (BicausalError, InsufficientDataError, NumericalEscapeError,
                      ValidationError)
-from .perturb import PerturbationSpec, apply_perturbation
+from .perturb import ULAM_SYNC_WINDOWS, PerturbationSpec, apply_perturbation
 
 
 # The published index parameters, as far as the systems and lengths share
@@ -61,16 +61,19 @@ _SHARED_PRESETS = {
     "ccm": crossmap.CcmParams(n_t=40, delta_rho=0.05),
 }
 
-# name -> Simulation(hi, axes, params, simulate, presets). Couplings lie in
-# [0, hi]; a grid value sets those named in `axes` (lambda_xy "xy", lambda_yx
-# "yx"), the other is 0. params(point, T, seed) is the simulator's parameter
-# object at a (lambda_xy, lambda_yx) point; simulate(list of them) returns one
-# pair per object, None where the orbit escaped (Ulam rings run as one
-# `sim_ulam_batch`). presets maps each published series length to the index
-# parameters that differ there from _SHARED_PRESETS: a value replaces a key's
-# value, a dict the named fields of its parameter object. Like INDEX_TABLE's
-# calls, the lambdas look their names up on `simulate` when they run.
-Simulation = namedtuple("Simulation", "hi axes params simulate presets")
+# name -> Simulation(hi, axes, params, simulate, presets, sync_windows).
+# Couplings lie in [0, hi]; a grid value sets those named in `axes` (lambda_xy
+# "xy", lambda_yx "yx"), the other is 0. params(point, T, seed) is the
+# simulator's parameter object at a (lambda_xy, lambda_yx) point; simulate(list
+# of them) returns one pair per object, None where the orbit escaped (Ulam
+# rings run as one `sim_ulam_batch`). presets maps each published series length
+# to the index parameters that differ there from _SHARED_PRESETS: a value
+# replaces a key's value, a dict the named fields of its parameter object.
+# sync_windows are the couplings where the system synchronises (ulam's only),
+# left out of f/g averages. Like INDEX_TABLE's calls, the lambdas look their
+# names up on `simulate` when they run.
+Simulation = namedtuple("Simulation", "hi axes params simulate presets sync_windows",
+                        defaults=((),))
 
 
 def _one_by_one(run):
@@ -100,7 +103,8 @@ SIMULATION_TABLE = {
                  "pi_m": 1, "ctir": {"tau_max": 20}, "si1": {"R": 10}, "si2": {"R": 30}}}),
     "ulam": Simulation(1.0, ("xy",), lambda pt, T, seed: simulate.UlamParams(
         lam=pt[0], T=T, seed=seed), lambda params: simulate.sim_ulam_batch(params),
-        {10**3: {"m": 1, "pi_m": 1}, 10**5: {"m": 1, "pi_m": 1, "egc": {"delta": 0.2}}}),
+        {10**3: {"m": 1, "pi_m": 1}, 10**5: {"m": 1, "pi_m": 1, "egc": {"delta": 0.2}}},
+        ULAM_SYNC_WINDOWS),
     "henon_uni": Simulation(1.0, ("xy",), lambda pt, T, seed: simulate.HenonUniParams(
         lam=pt[0], T=T, seed=seed), _one_by_one(lambda p: simulate.sim_henon_uni(p)),
         {10**3: {}, 10**4: {"egc": {"delta": 0.3}},
@@ -219,6 +223,10 @@ def paper_grid(simulation: str) -> list:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """`runs` simulations of length T (default: the shortest published one)
+    per grid point, seeded base_seed + run, each transformed by `perturbation`
+    if one is given; the indices take the presets of T."""
+
     simulation: str
     couplings: tuple = None
     T: int = None
@@ -260,6 +268,10 @@ class Record:
 class SweepResult:
     simulation: str
     records: list
+
+    @property
+    def sync_windows(self) -> tuple:
+        return _entry(self.simulation).sync_windows
 
     def grid_points(self) -> list:
         return sorted({(r.lambda_xy, r.lambda_yx) for r in self.records})
@@ -352,21 +364,15 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
     return [got[name] for name in indices]
 
 
-def _sim_length(cfg: SweepConfig) -> int:
-    """Length of each simulated series: T, or the data-size perturbation's."""
-    spec = cfg.perturbation
-    return spec.data_size if spec is not None and spec.kind == "data_size" else cfg.T
-
-
 def _unit_estimates(cfg: SweepConfig, point_index: int, run: int,
                     pair: SeriesPair | None) -> list[IndexEstimate]:
     if pair is None:
         return [_status_estimate(name, STATUS_DEGENERATE) for name in cfg.indices]
     spec = cfg.perturbation
-    if spec is not None and spec.kind != "data_size":
+    if spec is not None:
         rng = np.random.default_rng([spec.seed, point_index, run])
         pair = apply_perturbation(pair, spec, rng)
-    return compute_indices(pair, cfg.simulation, _sim_length(cfg), cfg.indices)
+    return compute_indices(pair, cfg.simulation, cfg.T, cfg.indices)
 
 
 def _run_chunk(cfg: SweepConfig, units: list) -> list[Record]:
@@ -380,7 +386,7 @@ def _run_chunk(cfg: SweepConfig, units: list) -> list[Record]:
     for start in range(0, len(units), simulate.ULAM_BATCH_RINGS):
         group = units[start:start + simulate.ULAM_BATCH_RINGS]
         pairs = simulate_units(cfg.simulation, [(cfg.couplings[i], cfg.base_seed + run)
-                                                for i, run in group], _sim_length(cfg))
+                                                for i, run in group], cfg.T)
         for (i, run), pair in zip(group, pairs):
             point = cfg.couplings[i]
             records.extend(Record(cfg.simulation, point[0], point[1], run, *row)

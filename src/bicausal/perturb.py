@@ -1,4 +1,6 @@
-"""Post-simulation data perturbations and the f/g deviation summary."""
+"""Transforms of a simulated pair (`KINDS`) and the f/g deviation summary.
+The paper's data-size experiment is a sweep at that length, not a transform.
+"""
 
 from __future__ import annotations
 
@@ -9,17 +11,20 @@ import numpy as np
 from .core import SeriesPair, check_integer, standardize
 from .errors import UndefinedStatisticError, ValidationError
 
-KINDS = ("identity", "data_size", "standardize", "scale", "round", "missing", "noise")
+KINDS = ("standardize", "scale", "round", "missing", "noise")
 TARGETS = ("x", "y", "both")
 
 # coupling windows where the Ulam lattice synchronises; grid points whose
-# coupling falls inside are excluded from f/g averages
+# coupling falls inside are excluded from f/g averages (ulam's
+# `harness.SIMULATION_TABLE` entry holds them as its sync windows)
 ULAM_SYNC_WINDOWS = ((0.17, 0.19), (0.81, 0.83))
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """One transform applied to a simulated pair before index estimation."""
+    """One transform of a simulated pair, applied before index estimation:
+    a kind of `KINDS`, the series it targets (standardize maps both) and the
+    field its kind reads (named in the comments below)."""
 
     kind: str
     target: str = "both"
@@ -27,7 +32,6 @@ class PerturbationSpec:
     decimals: int = 1             # round
     fraction: float = 0.1         # missing
     noise_var: float = 0.1        # noise (variance of the added Gaussian)
-    data_size: int | None = None  # data_size
     seed: int = 0
 
     def __post_init__(self):
@@ -43,8 +47,6 @@ class PerturbationSpec:
             check_integer(self.decimals, "decimals", minimum=0)
         if self.kind == "noise" and self.noise_var <= 0:
             raise ValidationError("noise variance must be positive")
-        if self.kind == "data_size":
-            check_integer(self.data_size, "data_size")
         check_integer(self.seed, "seed", minimum=0)
 
 
@@ -56,18 +58,13 @@ def _round_half_away(values: np.ndarray, decimals: int) -> np.ndarray:
 
 def apply_perturbation(pair: SeriesPair, spec: PerturbationSpec,
                        rng: np.random.Generator | None = None) -> SeriesPair:
-    """Apply one transform. `rng` overrides the spec seed (the sweep harness
-    passes per-run generators); by default a fresh seeded generator is used.
+    """The pair transformed by `spec`, as a new pair of the same length.
+
+    `rng` overrides the spec seed (the sweep harness passes per-unit
+    generators); by default a fresh generator seeded with `spec.seed` is used.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    if spec.kind == "identity":
-        return pair
-    if spec.kind == "data_size":
-        if spec.data_size > pair.T:
-            raise ValidationError(
-                "cannot extend an existing pair; rerun the simulation at the larger T")
-        return SeriesPair(pair.x[:spec.data_size], pair.y[:spec.data_size])
     if spec.kind == "standardize":
         return standardize(pair)
 
@@ -101,11 +98,6 @@ class PerturbSummary:
     stats: dict  # index name -> IndexFg
 
 
-def point_in_windows(point, windows) -> bool:
-    """Whether any coupling of a grid point lies in one of the windows."""
-    return any(lo <= lam <= hi for lam in point for lo, hi in windows)
-
-
 def _per_lambda_stats(result, index, points):
     """(mu, sigma) rows of the directed index per grid point: the mean and
     std of its finite values there, NaN where none is finite."""
@@ -123,16 +115,17 @@ def summarize_fg(baseline, perturbed) -> PerturbSummary:
     """f and g deviation statistics of the perturbed sweep vs the baseline.
 
     f = <mu - mu_hat> / <|mu|> and g = <sigma_hat> / <sigma>, averaged over
-    grid points outside the synchrony exclusion windows (`ULAM_SYNC_WINDOWS`
-    on ulam, none elsewhere). Identical sweeps give f = 0 and g = 1 exactly.
+    grid points outside the baseline system's synchrony windows
+    (`baseline.sync_windows`: `ULAM_SYNC_WINDOWS` on ulam, none elsewhere).
+    Identical sweeps give f = 0 and g = 1 exactly.
     """
     base_points = baseline.grid_points()
     if perturbed.grid_points() != base_points:
         raise ValidationError("baseline and perturbed sweeps use different grids")
-    exclude = ULAM_SYNC_WINDOWS if baseline.simulation == "ulam" else ()
-
-    kept = [pt for pt in base_points if not point_in_windows(pt, exclude)]
-    excluded = [pt for pt in base_points if point_in_windows(pt, exclude)]
+    # a grid point is left out when any of its couplings lies in a window
+    excluded = [pt for pt in base_points if any(
+        lo <= lam <= hi for lam in pt for lo, hi in baseline.sync_windows)]
+    kept = [pt for pt in base_points if pt not in excluded]
     if not kept:
         raise ValidationError("all grid points excluded")
 

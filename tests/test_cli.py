@@ -184,6 +184,33 @@ def test_perturb_scale_past_overflow_records_degenerate(tmp_path):
     assert (tmp_path / "fg.csv").exists()
 
 
+def _rows_but_elapsed(path) -> list:
+    return [{k: v for k, v in row.items() if k != "elapsed_seconds"}
+            for row in csv.DictReader(open(path))]
+
+
+def test_perturb_data_size_is_a_sweep_at_that_length(tmp_path):
+    # the perturbed sweep simulates at --data-size's length with that
+    # length's presets: perturbed.csv is `sweep --T 400`'s sweep.csv, and
+    # baseline.csv is `sweep`'s at the preset's T
+    flags = ["--preset", "ulam-1e3", "--grid", "0.3:0.3:0.1", "--runs", "2",
+             "--indices", "te_hist,si1"]
+    assert run_cli("perturb", *flags, "--kind", "data-size", "--data-size", "400",
+                   "-o", str(tmp_path / "p")) == 0
+    assert run_cli("sweep", *flags, "--T", "400", "-o", str(tmp_path / "s400")) == 0
+    assert run_cli("sweep", *flags, "-o", str(tmp_path / "s")) == 0
+    perturbed = _rows_but_elapsed(tmp_path / "p" / "perturbed.csv")
+    assert len(perturbed) == 8
+    assert perturbed == _rows_but_elapsed(tmp_path / "s400" / "sweep.csv")
+    assert (_rows_but_elapsed(tmp_path / "p" / "baseline.csv")
+            == _rows_but_elapsed(tmp_path / "s" / "sweep.csv"))
+    assert perturbed != _rows_but_elapsed(tmp_path / "s" / "sweep.csv")
+    # the manifest records the baseline length, the kind and the perturbed length
+    manifest = json.load(open(tmp_path / "p" / "manifest.json"))
+    assert manifest["T"] == 1000
+    assert manifest["perturbation"] == {"kind": "data_size", "data_size": 400}
+
+
 def test_preset_ids_are_the_published_lengths():
     # derived from SIMULATION_TABLE: a slip in the derivation changes an id
     assert PRESET_IDS == {
@@ -254,6 +281,14 @@ def test_malformed_csv_exits_1(tmp_path, capsys, command, body, where):
      None, None, "must be finite"),
     (["perturb", "--preset", "ulam-1e3", "--kind", "noise", "--noise-var", "nan"],
      None, None, "must be finite"),
+    (["perturb", "--preset", "ulam-1e3", "--kind", "data-size"], None, None,
+     "--data-size must be an integer >= 1, got None"),
+    (["perturb", "--preset", "ulam-1e3", "--kind", "data-size", "--data-size", "0"],
+     None, None, "--data-size must be an integer >= 1, got 0"),
+    (["perturb", "--preset", "ulam-1e3", "--kind", "data-size", "--data-size", "2.5"],
+     None, None, "invalid int value: '2.5'"),
+    (["perturb", "--preset", "ulam-1e3", "--kind", "data-size"], {"data-size": True},
+     None, "'data-size' must be int"),
     (["simulate", "--preset", "ulam-1e3", "--coupling-yx", "0.3"], None, None,
      "the other must be 0"),
     (["simulate", "--preset", "lp-1e4", "--coupling", "0.3", "--coupling-yx", "0.3"],
@@ -263,6 +298,8 @@ def test_malformed_csv_exits_1(tmp_path, capsys, command, body, where):
         "simulate-T-0", "sweep-T-0",
         "workers-env-non-numeric", "workers-env-0", "oracle-lp-b_x-nan",
         "oracle-lp-var_y-inf", "perturb-factor-inf", "perturb-noise-var-nan",
+        "perturb-data-size-missing", "perturb-data-size-0", "perturb-data-size-float",
+        "perturb-config-data-size-bool",
         "simulate-ulam-coupling-yx", "simulate-lp-coupling-xy"])
 def test_malformed_input_exits_1(tmp_path, capsys, monkeypatch, argv, config, workers,
                                  where):

@@ -3,7 +3,7 @@ import pytest
 
 from bicausal import PerturbationSpec, SeriesPair, apply_perturbation, standardize
 from bicausal.errors import UndefinedStatisticError, ValidationError
-from bicausal.harness import Record, SweepResult
+from bicausal.harness import SIMULATION_TABLE, Record, SweepResult
 from bicausal.perturb import ULAM_SYNC_WINDOWS, _round_half_away, summarize_fg
 
 
@@ -60,20 +60,6 @@ def test_noise_variance_and_target():
     assert added.var() == pytest.approx(0.5, rel=0.05)
 
 
-def test_data_size_truncates():
-    pair = make_pair(T=50)
-    out = apply_perturbation(pair, PerturbationSpec(kind="data_size", data_size=20))
-    assert out.T == 20 and np.array_equal(out.x, pair.x[:20])
-    with pytest.raises(ValidationError):
-        apply_perturbation(pair, PerturbationSpec(kind="data_size", data_size=500))
-
-
-def test_identity_returns_same_values():
-    pair = make_pair()
-    out = apply_perturbation(pair, PerturbationSpec(kind="identity"))
-    assert np.array_equal(out.x, pair.x)
-
-
 def test_spec_validation():
     with pytest.raises(ValidationError):
         PerturbationSpec(kind="wavelet")
@@ -82,7 +68,11 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         PerturbationSpec(kind="noise", noise_var=0.0)
     with pytest.raises(ValidationError):
-        PerturbationSpec(kind="identity", target="z")
+        PerturbationSpec(kind="round", target="z")
+    # data size is a sweep at another length, not a transform of the pair
+    for gone in ("data_size", "identity"):
+        with pytest.raises(ValidationError, match="unknown perturbation kind"):
+            PerturbationSpec(kind=gone)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite"):
             PerturbationSpec(kind="scale", factor=bad)
@@ -154,3 +144,7 @@ def test_sync_windows_cover_reported_couplings():
         assert any(lo <= lam <= hi for lo, hi in ULAM_SYNC_WINDOWS)
     for lam in (0.15, 0.2, 0.8, 0.85):
         assert not any(lo <= lam <= hi for lo, hi in ULAM_SYNC_WINDOWS)
+    # summarize_fg reads the windows from the baseline system's table entry
+    assert {name: sim.sync_windows for name, sim in SIMULATION_TABLE.items()
+            if sim.sync_windows} == {"ulam": ULAM_SYNC_WINDOWS}
+    assert SweepResult("ulam", []).sync_windows == ULAM_SYNC_WINDOWS
