@@ -258,8 +258,8 @@ class IndexEstimate:
     difference whenever both are finite. Elapsed seconds are wall-clock per
     direction, measured for each direction by `both_directions`, except egc
     and nlgc, whose two directions come from one joint computation that is
-    split evenly. te_ksg and ctir may run their two directions at the same
-    time (see `info`), so their two elapsed times may overlap.
+    split evenly. On helper threads (`harness.helper_threads`) estimates and
+    te_ksg's and ctir's two directions run at once, so their times overlap.
     """
 
     index: str

@@ -85,7 +85,7 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, I
 
         # mean squared distance to a set of neighbour indices, in emb's space
         def msd(nbr):
-            return _sum_sq(emb[:, None, :], emb[nbr]).mean(axis=1)
+            return _sum_sq(emb, emb[:, None, :], nbr).mean(axis=1)
 
         r_own = msd(own_idx)
         r_map = msd(mapped_idx)

@@ -14,8 +14,9 @@ delay matrix once: te_hist, ete_hist, te_ksg and ctir read the same m=1
 matrix. si1 and si2 are each one `crossmap.si_pair` call at their own R.
 pi, si1, si2 and ccm share one kNN graph per series and embedding dimension
 per call: the call's delay matrices keep them (`DelayMatrix.knn_graph`), and
-the graph readers run last, largest k first, so each graph is built once, by
-the reader that reads all of it, and a lone request builds it at its own k.
+the graph readers run largest k first, so each graph is built once, by the
+reader that reads all of it, and a lone request builds it at its own k. With
+`helper_threads`, they run in a helper thread beside the other entries.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import contextlib
 import csv
 import json
 import math
+import os
 import platform
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -44,8 +46,7 @@ from .core import (
     directed_index,
     embed,
 )
-from .errors import (BicausalError, InsufficientDataError, NumericalEscapeError,
-                     ValidationError)
+from .errors import BicausalError, NumericalEscapeError, ValidationError
 from .perturb import ULAM_SYNC_WINDOWS, PerturbationSpec, apply_perturbation
 
 
@@ -137,27 +138,26 @@ def index_presets(simulation: str, T: int) -> dict:
     return out
 
 
-# name -> (embedding dimension, call(dm, presets), graph k).
+# name -> (embedding dimension, call(dm, presets, split), graph k).
 # The dimension is a preset key or a fixed m, and the call gets that horizon-1
 # delay matrix (ctir reads te_ksg's m=1 matrix and embeds its later horizons
-# itself) and returns the index's estimate. Each call looks its estimator up
-# on the module when it runs, never binding it at import, so that wrappers
+# itself) and returns the index's estimate; `split` (`helper_threads`) puts
+# te_ksg's and ctir's directions on two threads. Each call looks its estimator
+# up on the module when it runs, never binding it at import, so that wrappers
 # placed on the module attribute (perfbench/tracing.py times each layer that
-# way) see every call. si1 and si2 are each one `si_pair` call at their own R.
-# graph k(presets) is the k an entry reads from the x and y kNN graphs of its
-# matrix, None for an entry that reads none; it orders the calls: graph
-# readers run last, largest k first.
+# way) see every call. graph k(presets) is the k an entry reads from the x and
+# y kNN graphs of its matrix, None for an entry that reads none.
 INDEX_TABLE = {
-    "egc": ("m", lambda dm, ps: regress.egc(dm, ps["egc"]), None),
-    "nlgc": ("m", lambda dm, ps: regress.nlgc(dm, ps["nlgc"]), None),
-    "pi": ("pi_m", lambda dm, ps: regress.pi(dm, ps["pi"]), lambda ps: ps["pi"].R),
-    "te_hist": (1, lambda dm, ps: info.te_hist(dm, ps["te_hist"]), None),
-    "ete_hist": (1, lambda dm, ps: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"]), None),
-    "te_ksg": (1, lambda dm, ps: info.te_ksg(dm, ps["te_ksg"]), None),
-    "ctir": (1, lambda dm, ps: info.ctir(dm, ps["ctir"]), None),
-    "si1": ("m", lambda dm, ps: crossmap.si_pair(dm, ps["si1"])[0], lambda ps: ps["si1"].R),
-    "si2": ("m", lambda dm, ps: crossmap.si_pair(dm, ps["si2"])[1], lambda ps: ps["si2"].R),
-    "ccm": ("m", lambda dm, ps: crossmap.ccm(dm, ps["ccm"]), lambda ps: ps["m"] + 1),
+    "egc": ("m", lambda dm, ps, _: regress.egc(dm, ps["egc"]), None),
+    "nlgc": ("m", lambda dm, ps, _: regress.nlgc(dm, ps["nlgc"]), None),
+    "pi": ("pi_m", lambda dm, ps, _: regress.pi(dm, ps["pi"]), lambda ps: ps["pi"].R),
+    "te_hist": (1, lambda dm, ps, _: info.te_hist(dm, ps["te_hist"]), None),
+    "ete_hist": (1, lambda dm, ps, _: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"]), None),
+    "te_ksg": (1, lambda dm, ps, split: info.te_ksg(dm, ps["te_ksg"], split), None),
+    "ctir": (1, lambda dm, ps, split: info.ctir(dm, ps["ctir"], split), None),
+    "si1": ("m", lambda dm, ps, _: crossmap.si_pair(dm, ps["si1"])[0], lambda ps: ps["si1"].R),
+    "si2": ("m", lambda dm, ps, _: crossmap.si_pair(dm, ps["si2"])[1], lambda ps: ps["si2"].R),
+    "ccm": ("m", lambda dm, ps, _: crossmap.ccm(dm, ps["ccm"]), lambda ps: ps["m"] + 1),
 }
 INDEX_NAMES = tuple(INDEX_TABLE)
 
@@ -325,58 +325,79 @@ def _status_estimate(name: str, status: str) -> IndexEstimate:
     return IndexEstimate(name, float("nan"), float("nan"), status=status)
 
 
+# The shortest series whose units get helper threads: on 2 cores the ten indices
+# took 0.94-1.19x one thread's time at T = 1000, 0.74-0.94x from T = 2000 on.
+HELPER_THREADS_MIN_T = 2000
+
+
+def _usable_cpus() -> int:
+    """Cores this process may run on: its affinity set, else the machine's."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+        os.cpu_count() or 1)
+
+
+def helper_threads(T: int, processes: int = 1) -> bool:
+    """Whether a unit of length T, in one of `processes` processes, runs its
+    kNN-graph readers in a helper thread and te_ksg's and ctir's yx direction
+    in another: from HELPER_THREADS_MIN_T on, if each process has two cores."""
+    return T >= HELPER_THREADS_MIN_T and _usable_cpus() >= 2 * processes
+
+
 def compute_indices(pair: SeriesPair, simulation: str, T: int,
-                    indices=INDEX_NAMES) -> list[IndexEstimate]:
+                    indices=INDEX_NAMES, processes: int = 1) -> list[IndexEstimate]:
     """The requested indices on one pair, in the requested order, using the
-    simulation's presets.
+    simulation's presets, in one of `processes` processes (`helper_threads`).
 
     Estimator failures (too little data after missingness, degenerate fits,
     saturated estimators) become degenerate estimates, never exceptions.
     """
     indices = check_index_names(indices)
     presets = index_presets(simulation, T)
-    dms: dict[int, object] = {}
-
-    def dm_for(m: int):
-        # each dimension is embedded once; a failed one (None) fails its
-        # later readers without embedding again
-        if m not in dms:
-            dms[m] = None
+    dims = {n: presets[m] if isinstance(m, str) else m for n, (m, _, _) in INDEX_TABLE.items()}
+    # every delay matrix is built first, so the lanes only read `dms`; a failed
+    # embedding leaves its readers degenerate
+    dms = {}
+    for m in dict.fromkeys(dims[name] for name in indices):
+        with contextlib.suppress(BicausalError):
             dms[m] = embed(pair, EmbeddingSpec(m=m))
-        if dms[m] is None:
-            raise InsufficientDataError(f"no delay matrix of dimension {m}")
-        return dms[m]
-
-    def graph_order(name):
-        k = INDEX_TABLE[name][2]
-        return (k is not None, -k(presets) if k else 0)
-
-    # the graph readers last, largest k first (a stable sort), so each kNN
-    # graph is built once, by the reader that reads all of it
+    split = helper_threads(pair.T, processes)
     got = {}
-    for name in sorted(indices, key=graph_order):
-        m, call, _ = INDEX_TABLE[name]
-        m = presets[m] if isinstance(m, str) else m
-        try:
-            got[name] = call(dm_for(m), presets)
-        except BicausalError:
+
+    def run(names):
+        for name in names:
             got[name] = _status_estimate(name, STATUS_DEGENERATE)
+            if dims[name] in dms:
+                with contextlib.suppress(BicausalError):
+                    got[name] = INDEX_TABLE[name][1](dms[dims[name]], presets, split)
+
+    # the graph readers share their matrices' graphs, so they run in one lane,
+    # largest k first: each graph is built once, by the reader of all of it
+    graph_k = {name: INDEX_TABLE[name][2] for name in indices}
+    readers = sorted((n for n in indices if graph_k[n]), key=lambda n: -graph_k[n](presets))
+    others = [name for name in indices if not graph_k[name]]
+    if split and readers and others:
+        with ThreadPoolExecutor(1) as pool:  # joined before this returns or raises
+            lane = pool.submit(run, readers)
+            run(others)
+            lane.result()
+    else:
+        run(others + readers)
     return [got[name] for name in indices]
 
 
 def _unit_estimates(cfg: SweepConfig, point_index: int, run: int,
-                    pair: SeriesPair | None) -> list[IndexEstimate]:
+                    pair: SeriesPair | None, processes: int) -> list[IndexEstimate]:
     if pair is None:
         return [_status_estimate(name, STATUS_DEGENERATE) for name in cfg.indices]
     spec = cfg.perturbation
     if spec is not None:
         rng = np.random.default_rng([spec.seed, point_index, run])
         pair = apply_perturbation(pair, spec, rng)
-    return compute_indices(pair, cfg.simulation, cfg.T, cfg.indices)
+    return compute_indices(pair, cfg.simulation, cfg.T, cfg.indices, processes)
 
 
-def _run_chunk(cfg: SweepConfig, units: list) -> list[Record]:
-    """Records of one worker's (point index, run) units.
+def _run_chunk(cfg: SweepConfig, units: list, processes: int) -> list[Record]:
+    """Records of one of `processes` workers' (point index, run) units.
 
     Up to `simulate.ULAM_BATCH_RINGS` units are simulated at a time (ulam as
     one batch), then their indices are computed unit by unit. A unit whose
@@ -390,7 +411,8 @@ def _run_chunk(cfg: SweepConfig, units: list) -> list[Record]:
         for (i, run), pair in zip(group, pairs):
             point = cfg.couplings[i]
             records.extend(Record(cfg.simulation, point[0], point[1], run, *row)
-                           for est in _unit_estimates(cfg, i, run, pair) for row in est.rows())
+                           for est in _unit_estimates(cfg, i, run, pair, processes)
+                           for row in est.rows())
     return records
 
 
@@ -398,13 +420,6 @@ def _chunks(cfg: SweepConfig) -> list[list]:
     """Worker k's units k, k + workers, ...; no empty chunk."""
     units = [(i, run) for i in range(len(cfg.couplings)) for run in range(cfg.runs)]
     return [c for c in (units[k::cfg.workers] for k in range(cfg.workers)) if c]
-
-
-def _init_worker(processes: int):
-    """Sweep pool initializer: a worker runs ctir's and te_ksg's two
-    directions concurrently only when each of the `processes` workers has two
-    cores, so that the pool never runs more threads than there are cores."""
-    info._concurrent_directions = info.spare_core(processes)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -415,12 +430,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     Ulam rings are simulated together; workers=1 runs the one chunk here.
     """
     chunks = _chunks(cfg)
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks), initializer=_init_worker,
-                                 initargs=(len(chunks),)) as pool:
-            done = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
+    n = len(chunks)
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            done = list(pool.map(_run_chunk, [cfg] * n, chunks, [n] * n))
     else:
-        done = [_run_chunk(cfg, chunk) for chunk in chunks]
+        done = [_run_chunk(cfg, chunk, 1) for chunk in chunks]
     records = [rec for chunk in done for rec in chunk]
     records.sort(key=lambda r: (r.lambda_xy, r.lambda_yx, r.run, r.index, r.direction))
     return SweepResult(cfg.simulation, records)
@@ -607,11 +622,11 @@ def write_manifest(path, cfg: SweepConfig, extra: dict | None = None):
         "base_seed": cfg.base_seed,
         "perturbation": None if cfg.perturbation is None else asdict(cfg.perturbation),
         "workers": cfg.workers,
-        # ctir's and te_ksg's two directions overlap in time when each sweep
-        # process has two cores: their elapsed_xy + elapsed_yx may then
-        # exceed the unit's wall time
-        "cpus": info.usable_cpus(),
-        "directions_concurrent": info.spare_core(len(_chunks(cfg))),
+        # every unit's decision: with helper threads, estimates overlap in
+        # time, and a unit's elapsed seconds may add up to more than its wall
+        # time
+        "cpus": _usable_cpus(),
+        "helper_threads": helper_threads(cfg.T, len(_chunks(cfg))),
         "prng": simulate.GENERATOR_NAME,
         "presets_version": PRESETS_VERSION,
         "created_unix": time.time(),

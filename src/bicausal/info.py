@@ -20,19 +20,16 @@ use the kd-tree ball count (`_tree_counts`).
 
 Each estimator computes one direction in a function of the direction, and
 `core.both_directions` runs it for both and times each. `te_ksg` (one delay
-matrix) and `ctir` (one per horizon: the given matrix, then the later
-horizons, all built first) pass `concurrent=_concurrent_directions`: when the
-process has a spare core the yx direction runs in one helper thread, made and
+matrix) and `ctir` (one per horizon, each built when its terms are due) take
+`concurrent`: each matrix's yx term then runs in a helper thread, made and
 joined within the call, while the calling thread runs xy; the kd-tree
 queries, sorts and `searchsorted` that do the work release the GIL. Each
 direction computes exactly what it computes alone, so the values do not
-depend on it, but the two elapsed times may overlap. te_hist and ete_hist
-run both directions on the calling thread.
+depend on it, but the two elapsed times may overlap.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,27 +51,6 @@ from .neighbors import seeded_jitter
 
 # amplitude of the tie-breaking jitter, relative to each column's std
 _JITTER_SCALE = 1e-10
-
-
-def usable_cpus() -> int:
-    """Cores this process may run on: its affinity set where the platform
-    has one, else the machine's core count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def spare_core(processes: int) -> bool:
-    """Whether each of `processes` processes sharing the usable cores has
-    one core for each of two concurrent directions."""
-    return usable_cpus() >= 2 * processes
-
-
-# whether te_ksg and ctir run their two directions concurrently: true when
-# this process has a spare core; a sweep's worker processes reset it for
-# their number (harness.run_sweep)
-_concurrent_directions = spare_core(1)
 
 
 @dataclass(frozen=True)
@@ -420,28 +396,35 @@ def cmi_ksg(a, b, c=None, p: KsgParams = KsgParams()) -> float:
     return _cmi_ksg_impl(a, b, c, p)[0]
 
 
-def _te_ksg_direction(dms: list, p: KsgParams, direction: str) -> tuple[float, bool]:
-    """k-NN TE of one direction ("yx": Y -> X, "xy": X -> Y) averaged over the
-    delay matrices `dms`, and whether any of its terms was degenerate."""
+def _te_ksg_direction(dm: DelayMatrix, p: KsgParams, direction: str) -> tuple[float, bool]:
+    """k-NN TE of one direction ("yx": Y -> X, "xy": X -> Y) on the delay
+    matrix `dm`, and whether it was degenerate."""
     own, other = sides(direction)
-    terms = [_cmi_ksg_impl(dm.future(own), dm.emb(other), dm.emb(own), p) for dm in dms]
-    return float(np.mean([v for v, _ in terms])), any(deg for _, deg in terms)
+    return _cmi_ksg_impl(dm.future(own), dm.emb(other), dm.emb(own), p)
 
 
-def _te_ksg_estimate(index: str, dms: list, p: KsgParams) -> IndexEstimate:
-    """Both directions of `_te_ksg_direction` over `dms` as one estimate."""
-    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = both_directions(
-        _te_ksg_direction, dms, p, concurrent=_concurrent_directions)
+def _te_ksg_estimate(index: str, dms, p: KsgParams, concurrent: bool) -> IndexEstimate:
+    """`_te_ksg_direction` averaged over `dms`, an iterable of delay matrices
+    read once: each matrix's two terms run before the next is read."""
+    xy, yx = zip(*(both_directions(_te_ksg_direction, dm, p, concurrent=concurrent)
+                   for dm in dms))
+
+    def direction(terms):  # ((value, degenerate), seconds) per matrix
+        return (float(np.mean([v for (v, _), _ in terms])),
+                any(deg for (_, deg), _ in terms), sum(t for _, t in terms))
+
+    (v_xy, deg_xy, t_xy), (v_yx, deg_yx, t_yx) = direction(xy), direction(yx)
     status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
     return IndexEstimate(index, v_xy, v_yx, t_xy, t_yx, status)
 
 
-def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams()) -> IndexEstimate:
+def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams(),
+           concurrent: bool = False) -> IndexEstimate:
     """k-NN transfer entropy: I(future; source embedding | own embedding)."""
-    return _te_ksg_estimate("te_ksg", [dm], p)
+    return _te_ksg_estimate("te_ksg", [dm], p, concurrent)
 
 
-def ctir(dm: DelayMatrix, p: CtirParams) -> IndexEstimate:
+def ctir(dm: DelayMatrix, p: CtirParams, concurrent: bool = False) -> IndexEstimate:
     """Coarse-grained transinformation rate: the mean of te_ksg over horizons
     tau = 1..tau_max (net flow via D), read from a horizon-1 delay matrix
     (m=1 in the presets, te_ksg's own matrix).
@@ -455,7 +438,8 @@ def ctir(dm: DelayMatrix, p: CtirParams) -> IndexEstimate:
         raise ValidationError(f"ctir reads a horizon-1 delay matrix, got h={dm.spec.h}")
     if dm.source.T <= p.tau_max + 2:
         raise InsufficientDataError("series too short for the requested tau_max")
-    # built on the calling thread before the directions start, so a lag with
-    # no complete row raises here and no helper thread is made
-    dms = [dm] + [embed(dm.source, replace(dm.spec, h=tau)) for tau in range(2, p.tau_max + 1)]
-    return _te_ksg_estimate("ctir", dms, p)
+    # one lag's matrix at a time, built on the calling thread when its terms
+    # are due; a lag with no complete row raises there
+    lags = (dm if tau == 1 else embed(dm.source, replace(dm.spec, h=tau))
+            for tau in range(1, p.tau_max + 1))
+    return _te_ksg_estimate("ctir", lags, p, concurrent)

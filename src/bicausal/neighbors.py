@@ -31,21 +31,21 @@ _TIE_RTOL = 1e-9
 _TIE_BLOCK = 256
 
 
-def _sum_sq(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Sum over the last axis of (a - b)**2, or of a**2 without b; a and b
-    broadcast against each other.
+def _sum_sq(a: np.ndarray, b: np.ndarray | None = None, rows=...) -> np.ndarray:
+    """Sum over the last axis of (a[rows] - b)**2, or of a[rows]**2 without
+    b; a[rows] and b broadcast against each other.
 
-    The squares are added one coordinate at a time, in order
-    (out = c0*c0; out += c1*c1; ...), so no (..., d) array of differences or
-    squares is made. numpy adds a reduction over a contiguous axis shorter
-    than 8 in the same order, so for fewer than 8 coordinates this equals
-    `((a - b) ** 2).sum(axis=-1)` bit for bit. From 8 coordinates on numpy
-    sums pairwise and the two may differ in the last bit; this stays the
-    package's one squared-distance formula there too (every preset embeds
-    at most 4 columns).
+    The squares are added one coordinate at a time, in order (out = c0*c0;
+    out += c1*c1; ...), so no (..., d) array of gathered rows (`rows` may be
+    an index array), differences or squares is made. numpy adds a reduction
+    over a contiguous axis shorter than 8 in the same order, so for fewer
+    than 8 coordinates this equals `((a[rows] - b) ** 2).sum(axis=-1)` bit
+    for bit. From 8 coordinates on numpy sums pairwise and the two may differ
+    in the last bit; this stays the package's one squared-distance formula
+    there too (every preset embeds at most 4 columns).
     """
     def square(j):
-        c = a[..., j] if b is None else a[..., j] - b[..., j]
+        c = a[rows, j] if b is None else a[rows, j] - b[..., j]
         return c * c
 
     out = square(0)
@@ -147,9 +147,9 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int,
 
     kq = min(k + max_excluded + 1, pset.n)
     # a range keeps the result 2-D even when kq is 1
-    _, idx = pset.tree.query(queries, k=range(1, kq + 1))
+    idx = pset.tree.query(queries, k=range(1, kq + 1))[1]
     # decisive distances come from the package formula, not the tree's
-    dist = pairwise_distance(pset.points[idx] - queries[:, None, :])
+    dist = np.sqrt(_sum_sq(pset.points, queries[:, None, :], idx))
     dist[idx == exclude_index[:, None]] = np.inf
     order = np.argsort(dist, axis=-1, kind="stable")
     dist = np.take_along_axis(dist, order, axis=-1)
@@ -181,7 +181,7 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int,
         slot = np.repeat(np.arange(len(rows)), lens)
         keep = cand != exclude_index[rows[slot]]
         cand, slot = cand[keep], slot[keep]
-        d = pairwise_distance(pset.points[cand] - queries[rows[slot]])
+        d = np.sqrt(_sum_sq(pset.points, queries[rows[slot]], cand))
         # by row, then distance; lexsort is stable, so equal distances keep
         # the index order. Each row has at least k candidates.
         order = np.lexsort((d, slot))

@@ -23,8 +23,8 @@ ULAM_SYNC_WINDOWS = ((0.17, 0.19), (0.81, 0.83))
 @dataclass(frozen=True)
 class PerturbationSpec:
     """One transform of a simulated pair, applied before index estimation:
-    a kind of `KINDS`, the series it targets (standardize maps both) and the
-    field its kind reads (named in the comments below)."""
+    a kind of `KINDS`, the series it targets (standardize maps both and takes
+    no other) and the field its kind reads (named in the comments below)."""
 
     kind: str
     target: str = "both"
@@ -39,6 +39,8 @@ class PerturbationSpec:
             raise ValidationError(f"unknown perturbation kind {self.kind!r}")
         if self.target not in TARGETS:
             raise ValidationError(f"unknown target {self.target!r}")
+        if self.kind == "standardize" and self.target != "both":
+            raise ValidationError(f"standardize maps both series, not target {self.target!r}")
         if not np.isfinite([self.factor, self.noise_var]).all():
             raise ValidationError("factor and noise_var must be finite")
         if self.kind == "missing" and not 0.0 < self.fraction < 1.0:
@@ -111,6 +113,11 @@ def _per_lambda_stats(result, index, points):
     return stats
 
 
+def _nanmean(values: np.ndarray) -> np.float64:
+    """`np.nanmean`, but NaN without numpy's warning when all values are NaN."""
+    return np.float64("nan") if np.isnan(values).all() else np.nanmean(values)
+
+
 def summarize_fg(baseline, perturbed) -> PerturbSummary:
     """f and g deviation statistics of the perturbed sweep vs the baseline.
 
@@ -134,12 +141,11 @@ def summarize_fg(baseline, perturbed) -> PerturbSummary:
     for index in indices:
         mu, sigma = _per_lambda_stats(baseline, index, kept)
         mu_hat, sigma_hat = _per_lambda_stats(perturbed, index, kept)
-        denom = np.nanmean(np.abs(mu))
+        denom = _nanmean(np.abs(mu))
         if not np.isfinite(denom) or denom == 0.0:
             raise UndefinedStatisticError(f"<|mu|> vanishes for index {index!r}")
-        f = float(np.nanmean(mu - mu_hat) / denom)
-        s_base = np.nanmean(sigma)
-        s_pert = np.nanmean(sigma_hat)
+        f = float(_nanmean(mu - mu_hat) / denom)
+        s_base, s_pert = _nanmean(sigma), _nanmean(sigma_hat)
         if s_pert == s_base:
             g = 1.0
         elif s_base == 0.0:

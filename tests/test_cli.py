@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,35 @@ def test_perturb_standardize_fg_row(tmp_path):
     assert all(v > 0.0 for v in manifest["wall_seconds"].values())
     counts = {"ok": 16, "degenerate": 0}
     assert manifest["status_counts"] == {"baseline": counts, "perturbed": counts}
+
+
+@pytest.mark.parametrize("target", ["x", "y"])
+def test_perturb_standardize_with_a_target_exits_1(tmp_path, capsys, target):
+    # standardize maps both series: a narrower target is refused, not ignored
+    out = tmp_path / "out"
+    code = run_cli("perturb", "--preset", "ulam-1e3", "--T", "300", "--kind", "standardize",
+                   "--target", target, "--grid", "0.4:0.6:0.2", "--runs", "2",
+                   "--indices", "te_hist", "-o", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "standardize maps both series" in err
+    assert not out.exists()
+
+
+def test_perturb_all_degenerate_index_writes_na_without_warning(tmp_path):
+    # nlgc is degenerate at every point of the rounded ulam sweep: its f and g
+    # are NA, and summarize_fg warns nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("perturb", "--preset", "ulam-1e3", "--T", "300", "--kind", "round",
+                       "--grid", "0.4:0.6:0.2", "--runs", "2", "--indices", "nlgc,te_hist",
+                       "-o", str(tmp_path))
+    assert code == 0
+    rows = {r["index"]: r for r in csv.DictReader(open(tmp_path / "fg.csv"))}
+    assert (rows["nlgc"]["f"], rows["nlgc"]["g"]) == ("NA", "NA")
+    assert rows["te_hist"]["f"] != "NA"
+    perturbed = sweep_from_csv(tmp_path / "perturbed.csv")
+    assert {r.status for r in perturbed.records if r.index == "nlgc"} == {"degenerate"}
 
 
 def test_perturb_scale_past_overflow_records_degenerate(tmp_path):

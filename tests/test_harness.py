@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -19,7 +21,7 @@ from bicausal import (
     timing_table,
 )
 from bicausal.errors import NumericalEscapeError, ValidationError
-from bicausal import harness, info, simulate
+from bicausal import crossmap, harness, info, regress, simulate
 from bicausal.harness import (
     Record,
     SweepResult,
@@ -278,19 +280,25 @@ def test_manifest_contents(tmp_path):
     assert payload["presets_version"] == harness.PRESETS_VERSION
     assert set(payload["versions"]) == {"bicausal", "python", "numpy", "scipy"}
     assert payload["versions"]["numpy"] == np.__version__
-    assert payload["cpus"] == info.usable_cpus()
-    assert payload["directions_concurrent"] == (payload["cpus"] >= 2)
+    assert payload["cpus"] == harness._usable_cpus()
+    # T = 100 is below the helper threads' cut-off whatever the cores
+    assert payload["helper_threads"] is False
+    assert "directions_concurrent" not in payload
     assert (tmp_path / "m.json").exists()
 
 
 def test_manifest_directions_concurrent_follows_sweep_processes(tmp_path, monkeypatch):
-    # two units on two workers: two processes, so concurrent from 4 cores
-    cfg = SweepConfig(simulation="ulam", couplings=(0.2, 0.3), T=100, runs=1,
+    # the manifest records the decision every unit of the sweep takes: two
+    # units on two workers are two processes, so helper threads from 4 cores
+    # at a T from the cut-off, and never below it
+    cut = harness.HELPER_THREADS_MIN_T
+    cfg = SweepConfig(simulation="ulam", couplings=(0.2, 0.3), T=cut, runs=1,
                       indices=("te_hist",), workers=2)
-    for cpus, concurrent in ((3, False), (4, True)):
-        monkeypatch.setattr(info.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-        payload = write_manifest(tmp_path / "m.json", cfg)
-        assert (payload["cpus"], payload["directions_concurrent"]) == (cpus, concurrent)
+    for cpus, T, split in ((3, cut, False), (4, cut, True), (4, cut - 1, False)):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        payload = write_manifest(tmp_path / "m.json", dataclasses.replace(cfg, T=T))
+        assert (payload["cpus"], payload["helper_threads"]) == (cpus, split)
+        assert split == harness.helper_threads(T, processes=2)
 
 
 def test_fg_pipeline_te_hist_standardize():
@@ -401,29 +409,160 @@ def test_sweep_chunked_workers_match_serial(simulation, couplings, T, extra):
     (1, 1, False), (2, 1, True), (2, 2, False), (3, 2, False), (4, 2, True), (8, 3, True),
 ])
 def test_worker_initializer_rule(monkeypatch, cpus, processes, concurrent):
-    monkeypatch.setattr(info.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(info, "_concurrent_directions", not concurrent)
-    harness._init_worker(processes)
-    assert info._concurrent_directions is concurrent
+    # the rule each unit of a sweep worker applies, one of `processes`: at and
+    # above the cut-off, helper threads when every process has two cores;
+    # below it, never
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cut = harness.HELPER_THREADS_MIN_T
+    assert harness.helper_threads(cut, processes) is concurrent
+    assert harness.helper_threads(10 * cut, processes) is concurrent
+    assert harness.helper_threads(cut - 1, processes) is False
 
 
 def test_usable_cpus_without_affinity(monkeypatch):
-    monkeypatch.delattr(info.os, "sched_getaffinity")
-    monkeypatch.setattr(info.os, "cpu_count", lambda: 3)
-    assert info.usable_cpus() == 3
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert harness._usable_cpus() == 3
+    assert harness.helper_threads(harness.HELPER_THREADS_MIN_T) is True
 
 
 def test_sweep_workers_fork_after_direction_threads(monkeypatch):
     # helper threads started in this process before the pool forks its
     # workers must not leave the workers anything to wait on
-    monkeypatch.setattr(info, "_concurrent_directions", True)
+    monkeypatch.setattr(harness, "helper_threads", lambda T, processes=1: True)
     pair = simulate.sim_ulam(simulate.UlamParams(lam=0.3, T=300, seed=0))
-    harness.compute_indices(pair, "ulam", 300, ("te_ksg", "ctir"))
+    harness.compute_indices(pair, "ulam", 300, ("te_ksg", "ctir", "si1"))
     cfg = SweepConfig(simulation="ulam", couplings=(0.18, 0.3, 0.5), T=300, runs=2,
-                      indices=("te_ksg", "ctir", "te_hist"), base_seed=0)
+                      indices=("te_ksg", "ctir", "te_hist", "si1"), base_seed=0)
     pooled = run_sweep(dataclasses.replace(cfg, workers=2))
-    monkeypatch.setattr(info, "_concurrent_directions", False)
+    monkeypatch.setattr(harness, "helper_threads", lambda T, processes=1: False)
     assert _same_records(run_sweep(cfg), pooled)
+
+
+# ---------------------------------------------------------------------------
+# the helper-thread path against the one-thread path
+
+
+def _force_helper_threads(monkeypatch, split: bool):
+    monkeypatch.setattr(harness, "helper_threads", lambda T, processes=1: split)
+
+
+def _same_estimates(a: list, b: list) -> bool:
+    """Estimates equal in index, values and status; NaN equals NaN."""
+    def same(u, v):
+        return u == v or (np.isnan(u) and np.isnan(v))
+    return len(a) == len(b) and all(
+        (ea.index, ea.status) == (eb.index, eb.status) and same(ea.value_xy, eb.value_xy)
+        and same(ea.value_yx, eb.value_yx) for ea, eb in zip(a, b))
+
+
+_LANE_CASES = {
+    "raw": None,
+    "round0": PerturbationSpec(kind="round", decimals=0),
+    "missing10": PerturbationSpec(kind="missing", fraction=0.1, seed=4),
+}
+
+
+@pytest.mark.parametrize("perturbation", list(_LANE_CASES))
+@pytest.mark.parametrize("simulation,point", [("lp", 0.3), ("henon_uni", 0.4)])
+def test_helper_threads_records_equal_one_thread(monkeypatch, simulation, point,
+                                                 perturbation):
+    # all ten indices on a unit at the cut-off length, with the decision
+    # forced each way: the records, NaNs and statuses included, are equal
+    cfg = SweepConfig(simulation=simulation, couplings=(point,),
+                      T=harness.HELPER_THREADS_MIN_T, runs=1, base_seed=3,
+                      perturbation=_LANE_CASES[perturbation])
+    got = []
+    for split in (False, True):
+        _force_helper_threads(monkeypatch, split)
+        got.append(run_sweep(cfg))
+    assert len(got[0].records) == 2 * len(harness.INDEX_NAMES)
+    assert _same_records(*got)
+
+
+def test_helper_threads_run_the_graph_readers_in_one_lane(monkeypatch):
+    # forced on, the graph readers run on one helper thread and the other
+    # indices on the calling thread; forced off, everything on the calling one
+    pair = simulate.sim_lp(LpParams(lam=0.3, T=600, seed=0))
+    threads = {}
+    for module, name in ((regress, "egc"), (regress, "nlgc"), (regress, "pi"),
+                         (info, "te_hist"), (info, "ete_hist"), (info, "te_ksg"),
+                         (info, "ctir"), (crossmap, "si_pair"), (crossmap, "ccm")):
+        def recorded(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            threads.setdefault(_name, set()).add(threading.get_ident())
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+    main = threading.get_ident()
+    for split in (False, True):
+        threads.clear()
+        _force_helper_threads(monkeypatch, split)
+        harness.compute_indices(pair, "lp", 600)
+        readers = threads.pop("pi") | threads.pop("si_pair") | threads.pop("ccm")
+        assert set().union(*threads.values()) == {main}
+        assert (readers == {main}) is not split and len(readers) == 1
+
+
+def test_helper_threads_failed_dimension_equal_one_thread(monkeypatch):
+    # x missing at t = 2 mod 3: every m=1 row survives somewhere, no m=2 row
+    # does. The lp presets read m=1 for pi and te_*, m=2 for egc, nlgc, si1,
+    # si2 and ccm: m=2's readers on both lanes are degenerate, in both paths,
+    # and the failed dimension is embedded once
+    pair = simulate.sim_lp(LpParams(lam=0.3, T=harness.HELPER_THREADS_MIN_T, seed=0))
+    x = pair.x.copy()
+    x[2::3] = np.nan
+    pair = SeriesPair(x, pair.y)
+    calls = []
+
+    def counted(pair, spec, _fn=harness.embed):
+        calls.append(spec.m)
+        return _fn(pair, spec)
+
+    monkeypatch.setattr(harness, "embed", counted)
+    got = []
+    for split in (False, True):
+        calls.clear()
+        _force_helper_threads(monkeypatch, split)
+        got.append(harness.compute_indices(pair, "lp", pair.T))
+        assert sorted(calls) == [1, 2]
+    assert _same_estimates(*got)
+    assert [est.index for est in got[0] if est.status == "ok"] == [
+        "pi", "te_hist", "ete_hist", "te_ksg", "ctir"]
+
+
+def test_helper_threads_under_fast_thread_switching(monkeypatch):
+    # the lanes share the unit's estimates dict (one key per index) and its
+    # read-only delay matrices: with the interpreter switching threads every
+    # microsecond, three threads on at most two cores, every estimate still
+    # equals the one-thread path's
+    pair = simulate.sim_ulam(simulate.UlamParams(lam=0.4, T=300, seed=0))
+    _force_helper_threads(monkeypatch, False)
+    want = harness.compute_indices(pair, "ulam", 300)
+    _force_helper_threads(monkeypatch, True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert _same_estimates(harness.compute_indices(pair, "ulam", 300), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("lane", ["helper", "calling"])
+def test_helper_threads_error_propagates_after_the_join(monkeypatch, lane):
+    # a non-BicausalError in either lane reaches the caller unchanged, and
+    # only after the helper thread is joined: no thread is left behind
+    failing = (crossmap, "ccm") if lane == "helper" else (info, "te_hist")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("estimator bug")
+
+    monkeypatch.setattr(*failing, broken)
+    _force_helper_threads(monkeypatch, True)
+    pair = simulate.sim_lp(LpParams(lam=0.3, T=600, seed=0))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="estimator bug"):
+        harness.compute_indices(pair, "lp", 600)
+    assert threading.active_count() == threads
 
 
 def test_sweep_units_match_direct_simulation():

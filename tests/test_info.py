@@ -387,17 +387,13 @@ _DIRECTION_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_DIRECTION_CASES))
-def test_concurrent_directions_equal_serial(monkeypatch, case):
+def test_concurrent_directions_equal_serial(case):
     pair = _DIRECTION_CASES[case]()
     presets = harness.index_presets("lp" if case.startswith("lp") else "ulam", pair.T)
     dm = embed(pair, EmbeddingSpec(m=1))
-    for estimate in (lambda: te_ksg(dm, presets["te_ksg"]),
-                     lambda: ctir(dm, presets["ctir"])):
-        got = []
-        for flag in (False, True):
-            monkeypatch.setattr(info, "_concurrent_directions", flag)
-            got.append(estimate())
-        serial, concurrent = got
+    for estimate in (lambda flag: te_ksg(dm, presets["te_ksg"], concurrent=flag),
+                     lambda flag: ctir(dm, presets["ctir"], concurrent=flag)):
+        serial, concurrent = estimate(False), estimate(True)
         assert (concurrent.value_xy, concurrent.value_yx, concurrent.status) == (
             serial.value_xy, serial.value_yx, serial.status)
         for est in (serial, concurrent):
@@ -412,8 +408,8 @@ def test_ctir_direction_error_propagates(swap, concurrent):
     # thread's when concurrent) without the swap, xy (the calling thread's)
     # with it
     pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
-    good = [embed(pair, EmbeddingSpec(m=1, h=tau)) for tau in (1, 2)]
-    short = good + [embed(SeriesPair(pair.x[:4], pair.y[:4]), EmbeddingSpec(m=1))]
+    good = embed(pair, EmbeddingSpec(m=1, h=2))
+    short = embed(SeriesPair(pair.x[:4], pair.y[:4]), EmbeddingSpec(m=1))
     failing = "xy" if swap else "yx"
     raised_on_main = []
 
@@ -447,20 +443,19 @@ def test_ctir_no_complete_row_at_lag_one():
 def test_ctir_no_complete_row_at_a_later_lag(monkeypatch):
     # x missing at t = 2, 3 mod 4: lag-1 rows (t = 0 mod 4) survive, but no
     # lag-2 row has x at both t and t+2, so ctir's lag-2 embed raises on the
-    # calling thread before the directions start
+    # calling thread, after the lag-1 terms and their helper thread are done
     pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
     x = pair.x.copy()
     x[(np.arange(600) % 4) >= 2] = np.nan
     pair = SeriesPair(x, pair.y)
     dm = embed(pair, EmbeddingSpec(m=1))
-
-    def no_directions(*args):
-        raise AssertionError("the directions started")
-
-    monkeypatch.setattr(info, "both_directions", no_directions)
     threads = threading.active_count()
-    with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
-        ctir(dm, CtirParams(tau_max=2))
-    (est,) = compute_indices(pair, "lp", pair.T, ("ctir",))
-    assert est.status == STATUS_DEGENERATE and math.isnan(est.value_xy)
-    assert threading.active_count() == threads
+    for concurrent in (False, True):
+        with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
+            ctir(dm, CtirParams(tau_max=2), concurrent=concurrent)
+        assert threading.active_count() == threads
+    for split in (False, True):
+        monkeypatch.setattr(harness, "helper_threads", lambda T, processes=1, s=split: s)
+        (est,) = compute_indices(pair, "lp", pair.T, ("ctir",))
+        assert est.status == STATUS_DEGENERATE and math.isnan(est.value_xy)
+        assert threading.active_count() == threads

@@ -47,6 +47,21 @@ def test_coordinate_sums_equal_numpy_reductions(d, data):
     assert np.array_equal(pairwise_distance(diff), np.sqrt((diff * diff).sum(axis=-1)))
 
 
+@pytest.mark.parametrize("d", range(1, 5))
+def test_coordinate_sums_over_gathered_rows(d):
+    # rows given as an index array are read one coordinate at a time: the
+    # sums equal those over the gathered array bit for bit, the difference
+    # taken either way round (knn_points and si_pair rely on both)
+    rng = np.random.default_rng(d)
+    a = np.round(rng.normal(size=(300, d)), 1) + rng.normal(size=(300, d)) * 1e-3
+    idx = rng.integers(0, 300, size=(300, 12))
+    want = _sum_sq(a[idx], a[:, None, :])
+    assert np.array_equal(_sum_sq(a, a[:, None, :], idx), want)
+    assert np.array_equal(_sum_sq(a[:, None, :], a[idx]), want)
+    assert np.array_equal(_sum_sq(a, None, idx), _sum_sq(a[idx]))
+    assert np.array_equal(_sum_sq(a, a[0], idx[:, 0]), ((a[idx[:, 0]] - a[0]) ** 2).sum(axis=-1))
+
+
 def test_knn_basic_1d():
     ps = PointSet(np.array([0.0, 1.0, 2.0, 10.0]))
     got = knn(ps, 0, 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,27 @@ def test_fg_halved_means():
     pert = synthetic_sweep({0.3: [0.5, 0.5], 0.5: [1.0, 1.0]})
     summary = summarize_fg(base, pert)
     assert summary.stats["te_hist"].f == pytest.approx(0.5)
+
+
+def test_standardize_takes_no_target():
+    # standardize maps both series; a narrower target used to be ignored
+    for target in ("x", "y"):
+        with pytest.raises(ValidationError, match="standardize maps both series"):
+            PerturbationSpec(kind="standardize", target=target)
+    assert PerturbationSpec(kind="standardize").target == "both"
+
+
+def test_fg_all_nan_index_warns_nothing():
+    # an index with no finite perturbed value at any kept point: f and g are
+    # NaN, computed without numpy's "Mean of empty slice" warning
+    base = synthetic_sweep({0.3: [1.0, 1.2], 0.5: [2.0, 2.2]})
+    pert = synthetic_sweep({0.3: [np.nan, np.nan], 0.5: [np.nan, np.nan]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fg = summarize_fg(base, pert).stats["te_hist"]
+        assert np.isnan(fg.f) and np.isnan(fg.g)
+        with pytest.raises(UndefinedStatisticError):
+            summarize_fg(pert, base)
 
 
 def test_fg_undefined_when_mu_vanishes():
