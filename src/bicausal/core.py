@@ -1,5 +1,6 @@
-"""Series container, delay embedding, standardisation, the directed index and
-the two directions (`SIDES`, `both_directions`) every estimator reports.
+"""Series container, delay embedding, standardisation, the directed index,
+the two directions every estimator reports (`SIDES`, `both_directions`) and
+`beside`, which runs work on a caller's helper thread and waits for it.
 
 A bivariate record is a pair of aligned scalar series in which a NaN marks a
 missing sample. Missing data is handled in exactly one place: the embedding
@@ -10,7 +11,7 @@ imputed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,23 +36,30 @@ def sides(direction: str) -> tuple[str, str]:
         raise ValidationError(f"unknown direction {direction!r}") from None
 
 
-def both_directions(fn, *args, concurrent: bool = False):
+def beside(helper, main, side):
+    """(main(), side()): main then side on the calling thread, or with
+    `helper` (an executor) side on it while this thread runs main. side is
+    waited for before this returns or raises, and an exception of either
+    call propagates unchanged (main's when both raise)."""
+    if helper is None:
+        return main(), side()
+    future = helper.submit(side)
+    try:
+        return main(), future.result()
+    finally:
+        wait([future])
+
+
+def both_directions(fn, *args, helper=None):
     """((result, seconds) of fn(*args, "xy"), (result, seconds) of
     fn(*args, "yx")): yx runs first, then xy, on the calling thread, or with
-    `concurrent` yx runs in one helper thread while this thread runs xy. The
-    helper is joined before this returns or raises, and an exception of
-    either call propagates unchanged (xy's when both raise)."""
+    `helper` xy runs on it while this thread runs yx (`beside`)."""
     def timed(direction):
         t0 = time.perf_counter()
         result = fn(*args, direction)
         return result, time.perf_counter() - t0
 
-    if not concurrent:
-        yx = timed("yx")
-        return timed("xy"), yx
-    with ThreadPoolExecutor(1) as pool:
-        yx = pool.submit(timed, "yx")
-        return timed("xy"), yx.result()
+    return beside(helper, lambda: timed("yx"), lambda: timed("xy"))[::-1]
 
 
 def _as_series(values, name: str) -> np.ndarray:
@@ -258,8 +266,9 @@ class IndexEstimate:
     difference whenever both are finite. Elapsed seconds are wall-clock per
     direction, measured for each direction by `both_directions`, except egc
     and nlgc, whose two directions come from one joint computation that is
-    split evenly. On helper threads (`harness.helper_threads`) estimates and
-    te_ksg's and ctir's two directions run at once, so their times overlap.
+    split evenly. A unit with a helper thread (`harness.helper_threads`) runs
+    the kNN-graph readers beside the other estimates, and te_ksg's and
+    ctir's two directions beside each other, so their times overlap.
     """
 
     index: str

@@ -16,7 +16,8 @@ pi, si1, si2 and ccm share one kNN graph per series and embedding dimension
 per call: the call's delay matrices keep them (`DelayMatrix.knn_graph`), and
 the graph readers run largest k first, so each graph is built once, by the
 reader that reads all of it, and a lone request builds it at its own k. With
-`helper_threads`, they run in a helper thread beside the other entries.
+`helper_threads`, they run beside the other entries on the unit's one helper
+thread, which te_ksg and ctir then share; a unit starts no other thread.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ from .core import (
     EmbeddingSpec,
     IndexEstimate,
     SeriesPair,
+    beside,
     check_integer,
     directed_index,
     embed,
+    sides,
 )
 from .errors import BicausalError, NumericalEscapeError, ValidationError
 from .perturb import ULAM_SYNC_WINDOWS, PerturbationSpec, apply_perturbation
@@ -138,23 +141,23 @@ def index_presets(simulation: str, T: int) -> dict:
     return out
 
 
-# name -> (embedding dimension, call(dm, presets, split), graph k).
+# name -> (embedding dimension, call(dm, presets, helper), graph k).
 # The dimension is a preset key or a fixed m, and the call gets that horizon-1
 # delay matrix (ctir reads te_ksg's m=1 matrix and embeds its later horizons
-# itself) and returns the index's estimate; `split` (`helper_threads`) puts
-# te_ksg's and ctir's directions on two threads. Each call looks its estimator
-# up on the module when it runs, never binding it at import, so that wrappers
-# placed on the module attribute (perfbench/tracing.py times each layer that
-# way) see every call. graph k(presets) is the k an entry reads from the x and
-# y kNN graphs of its matrix, None for an entry that reads none.
+# itself) and returns the index's estimate; `helper` (`compute_indices`) runs
+# a te_ksg or ctir direction. Each call looks its estimator up on the module
+# when it runs, never binding it at import, so that wrappers placed on the
+# module attribute (perfbench/tracing.py times each layer that way) see every
+# call. graph k(presets) is the k an entry reads from the x and y kNN graphs
+# of its matrix, None for an entry that reads none.
 INDEX_TABLE = {
     "egc": ("m", lambda dm, ps, _: regress.egc(dm, ps["egc"]), None),
     "nlgc": ("m", lambda dm, ps, _: regress.nlgc(dm, ps["nlgc"]), None),
     "pi": ("pi_m", lambda dm, ps, _: regress.pi(dm, ps["pi"]), lambda ps: ps["pi"].R),
     "te_hist": (1, lambda dm, ps, _: info.te_hist(dm, ps["te_hist"]), None),
     "ete_hist": (1, lambda dm, ps, _: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"]), None),
-    "te_ksg": (1, lambda dm, ps, split: info.te_ksg(dm, ps["te_ksg"], split), None),
-    "ctir": (1, lambda dm, ps, split: info.ctir(dm, ps["ctir"], split), None),
+    "te_ksg": (1, lambda dm, ps, helper: info.te_ksg(dm, ps["te_ksg"], helper), None),
+    "ctir": (1, lambda dm, ps, helper: info.ctir(dm, ps["ctir"], helper), None),
     "si1": ("m", lambda dm, ps, _: crossmap.si_pair(dm, ps["si1"])[0], lambda ps: ps["si1"].R),
     "si2": ("m", lambda dm, ps, _: crossmap.si_pair(dm, ps["si2"])[1], lambda ps: ps["si2"].R),
     "ccm": ("m", lambda dm, ps, _: crossmap.ccm(dm, ps["ccm"]), lambda ps: ps["m"] + 1),
@@ -325,8 +328,8 @@ def _status_estimate(name: str, status: str) -> IndexEstimate:
     return IndexEstimate(name, float("nan"), float("nan"), status=status)
 
 
-# The shortest series whose units get helper threads: on 2 cores the ten indices
-# took 0.94-1.19x one thread's time at T = 1000, 0.74-0.94x from T = 2000 on.
+# The shortest series whose units get a helper thread: on 2 cores the ten indices
+# took 0.81-1.03x one thread's time at T = 1000, 0.68-0.86x at T = 2000.
 HELPER_THREADS_MIN_T = 2000
 
 
@@ -337,9 +340,9 @@ def _usable_cpus() -> int:
 
 
 def helper_threads(T: int, processes: int = 1) -> bool:
-    """Whether a unit of length T, in one of `processes` processes, runs its
-    kNN-graph readers in a helper thread and te_ksg's and ctir's yx direction
-    in another: from HELPER_THREADS_MIN_T on, if each process has two cores."""
+    """Whether a unit of length T, in one of `processes` processes, gets one
+    helper thread (`compute_indices`): from HELPER_THREADS_MIN_T on, if each
+    process has two cores."""
     return T >= HELPER_THREADS_MIN_T and _usable_cpus() >= 2 * processes
 
 
@@ -360,28 +363,24 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
     for m in dict.fromkeys(dims[name] for name in indices):
         with contextlib.suppress(BicausalError):
             dms[m] = embed(pair, EmbeddingSpec(m=m))
-    split = helper_threads(pair.T, processes)
     got = {}
 
-    def run(names):
+    def run(names, helper):
         for name in names:
             got[name] = _status_estimate(name, STATUS_DEGENERATE)
             if dims[name] in dms:
                 with contextlib.suppress(BicausalError):
-                    got[name] = INDEX_TABLE[name][1](dms[dims[name]], presets, split)
+                    got[name] = INDEX_TABLE[name][1](dms[dims[name]], presets, helper)
 
     # the graph readers share their matrices' graphs, so they run in one lane,
-    # largest k first: each graph is built once, by the reader of all of it
+    # largest k first: each graph is built once, by the reader of all of it.
+    # The lane gets no helper, so no task on the helper waits for the helper
     graph_k = {name: INDEX_TABLE[name][2] for name in indices}
     readers = sorted((n for n in indices if graph_k[n]), key=lambda n: -graph_k[n](presets))
     others = [name for name in indices if not graph_k[name]]
-    if split and readers and others:
-        with ThreadPoolExecutor(1) as pool:  # joined before this returns or raises
-            lane = pool.submit(run, readers)
-            run(others)
-            lane.result()
-    else:
-        run(others + readers)
+    with (ThreadPoolExecutor(1) if helper_threads(pair.T, processes)
+          else contextlib.nullcontext()) as helper:  # joined before this returns or raises
+        beside(helper, lambda: run(others, helper), lambda: run(readers, None))
     return [got[name] for name in indices]
 
 
@@ -568,6 +567,9 @@ def sweep_from_csv(path) -> SweepResult:
     for line, row in rows:
         with _csv_line(path, line):
             sim, lxy, lyx, run, index, direction, value, elapsed, status = row
+            _entry(sim), check_index_names([index]), sides(direction)
+            if status not in (STATUS_OK, STATUS_DEGENERATE):
+                raise ValueError(f"unknown status {status!r}")
             records.append(Record(
                 sim, float(lxy), float(lyx), int(run), index, direction,
                 float("nan") if value in ("NA", "") else float(value),
@@ -622,7 +624,7 @@ def write_manifest(path, cfg: SweepConfig, extra: dict | None = None):
         "base_seed": cfg.base_seed,
         "perturbation": None if cfg.perturbation is None else asdict(cfg.perturbation),
         "workers": cfg.workers,
-        # every unit's decision: with helper threads, estimates overlap in
+        # every unit's decision: with a helper thread, estimates overlap in
         # time, and a unit's elapsed seconds may add up to more than its wall
         # time
         "cpus": _usable_cpus(),

@@ -19,13 +19,13 @@ rectangle count over the two rank orders. Marginals of three or more columns
 use the kd-tree ball count (`_tree_counts`).
 
 Each estimator computes one direction in a function of the direction, and
-`core.both_directions` runs it for both and times each. `te_ksg` (one delay
-matrix) and `ctir` (one per horizon, each built when its terms are due) take
-`concurrent`: each matrix's yx term then runs in a helper thread, made and
-joined within the call, while the calling thread runs xy; the kd-tree
-queries, sorts and `searchsorted` that do the work release the GIL. Each
-direction computes exactly what it computes alone, so the values do not
-depend on it, but the two elapsed times may overlap.
+`core.both_directions` runs it for both and times each. `te_ksg` and `ctir`
+take the unit's `helper` executor, if it has one (`harness.compute_indices`
+makes it): their xy direction then runs on it while the calling thread runs
+yx, each direction over all its horizons; the kd-tree queries, sorts and
+`searchsorted` that do the work release the GIL. Each direction computes
+exactly what it computes alone, so the values do not depend on it, but the
+two elapsed times may overlap.
 """
 
 from __future__ import annotations
@@ -396,50 +396,46 @@ def cmi_ksg(a, b, c=None, p: KsgParams = KsgParams()) -> float:
     return _cmi_ksg_impl(a, b, c, p)[0]
 
 
-def _te_ksg_direction(dm: DelayMatrix, p: KsgParams, direction: str) -> tuple[float, bool]:
-    """k-NN TE of one direction ("yx": Y -> X, "xy": X -> Y) on the delay
-    matrix `dm`, and whether it was degenerate."""
+def _te_ksg_direction(dm: DelayMatrix, p: KsgParams, tau_max: int,
+                      direction: str) -> tuple[float, bool]:
+    """k-NN TE of one direction ("yx": Y -> X, "xy": X -> Y) averaged over
+    the horizons tau = 1..tau_max, and whether any term was degenerate. The
+    horizon-1 term reads `dm`; a later one embeds `dm.source` at that horizon
+    when it is due, so one horizon's matrix is held at a time."""
     own, other = sides(direction)
-    return _cmi_ksg_impl(dm.future(own), dm.emb(other), dm.emb(own), p)
+    lags = (dm if tau == 1 else embed(dm.source, replace(dm.spec, h=tau))
+            for tau in range(1, tau_max + 1))
+    values, degenerate = zip(*(_cmi_ksg_impl(lag.future(own), lag.emb(other), lag.emb(own), p)
+                               for lag in lags))
+    return float(np.mean(values)), any(degenerate)
 
 
-def _te_ksg_estimate(index: str, dms, p: KsgParams, concurrent: bool) -> IndexEstimate:
-    """`_te_ksg_direction` averaged over `dms`, an iterable of delay matrices
-    read once: each matrix's two terms run before the next is read."""
-    xy, yx = zip(*(both_directions(_te_ksg_direction, dm, p, concurrent=concurrent)
-                   for dm in dms))
-
-    def direction(terms):  # ((value, degenerate), seconds) per matrix
-        return (float(np.mean([v for (v, _), _ in terms])),
-                any(deg for (_, deg), _ in terms), sum(t for _, t in terms))
-
-    (v_xy, deg_xy, t_xy), (v_yx, deg_yx, t_yx) = direction(xy), direction(yx)
+def _te_ksg_estimate(index: str, dm: DelayMatrix, p: KsgParams, tau_max: int,
+                     helper) -> IndexEstimate:
+    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = both_directions(
+        _te_ksg_direction, dm, p, tau_max, helper=helper)
     status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
     return IndexEstimate(index, v_xy, v_yx, t_xy, t_yx, status)
 
 
-def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams(),
-           concurrent: bool = False) -> IndexEstimate:
+def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams(), helper=None) -> IndexEstimate:
     """k-NN transfer entropy: I(future; source embedding | own embedding)."""
-    return _te_ksg_estimate("te_ksg", [dm], p, concurrent)
+    return _te_ksg_estimate("te_ksg", dm, p, 1, helper)
 
 
-def ctir(dm: DelayMatrix, p: CtirParams, concurrent: bool = False) -> IndexEstimate:
+def ctir(dm: DelayMatrix, p: CtirParams, helper=None) -> IndexEstimate:
     """Coarse-grained transinformation rate: the mean of te_ksg over horizons
     tau = 1..tau_max (net flow via D), read from a horizon-1 delay matrix
     (m=1 in the presets, te_ksg's own matrix).
 
     The lag-1 term is te_ksg's on `dm`; the lag-tau term is te_ksg's on
-    `embed(dm.source, replace(dm.spec, h=tau))`. At each lag both directions
-    use the same rows, and missing samples are dropped by `embed`'s rule
-    alone. With tau_max = 1 this is te_ksg on `dm`.
+    `embed(dm.source, replace(dm.spec, h=tau))`, which each direction builds
+    when its term is due. At each lag both directions use the same rows, and
+    missing samples are dropped by `embed`'s rule alone; a lag with no
+    complete row raises. With tau_max = 1 this is te_ksg on `dm`.
     """
     if dm.spec.h != 1:
         raise ValidationError(f"ctir reads a horizon-1 delay matrix, got h={dm.spec.h}")
     if dm.source.T <= p.tau_max + 2:
         raise InsufficientDataError("series too short for the requested tau_max")
-    # one lag's matrix at a time, built on the calling thread when its terms
-    # are due; a lag with no complete row raises there
-    lags = (dm if tau == 1 else embed(dm.source, replace(dm.spec, h=tau))
-            for tau in range(1, p.tau_max + 1))
-    return _te_ksg_estimate("ctir", lags, p, concurrent)
+    return _te_ksg_estimate("ctir", dm, p, p.tau_max, helper)

@@ -283,8 +283,17 @@ SWEEP_HEADER = "simulation,lambda_xy,lambda_yx,run,index,direction,value,elapsed
     ("indices", "", "empty"),
     ("report", "", "empty"),
     ("report", SWEEP_HEADER + "ulam,0.0,0.1,0,te_hist,xy\n", "line 2"),
+    ("report", SWEEP_HEADER + "ulam,0.0,0.1,0,te_hist,xy,0.5,0.1,ok\n"
+     "ulam,0.0,0.1,0,nosuch,xy,0.5,0.1,ok\n", "line 3: unknown indices: ['nosuch']"),
+    ("report", SWEEP_HEADER + "ulam,0.0,0.1,0,te_hist,zx,0.5,0.1,ok\n",
+     "line 2: unknown direction 'zx'"),
+    ("report", SWEEP_HEADER + "ulam,0.0,0.1,0,te_hist,xy,0.5,0.1,bogus\n",
+     "line 2: unknown status 'bogus'"),
+    ("report", SWEEP_HEADER + "nosuch,0.0,0.1,0,te_hist,xy,0.5,0.1,ok\n",
+     "line 2: unknown simulation 'nosuch'"),
 ], ids=["indices-non-numeric", "indices-short-row", "indices-empty",
-        "report-empty", "report-short-row"])
+        "report-empty", "report-short-row", "report-unknown-index",
+        "report-unknown-direction", "report-unknown-status", "report-unknown-simulation"])
 def test_malformed_csv_exits_1(tmp_path, capsys, command, body, where):
     path = tmp_path / "bad.csv"
     path.write_text(body)

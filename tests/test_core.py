@@ -1,7 +1,9 @@
+import contextlib
 import gc
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from bicausal import (
     standardize,
     te_lp_analytic,
 )
-from bicausal.core import both_directions
+from bicausal.core import beside, both_directions
 from bicausal.errors import (
     DegenerateSeriesError,
     InsufficientDataError,
@@ -259,22 +261,59 @@ def test_unknown_direction_is_a_validation_error(reader):
             call(direction)
 
 
-@pytest.mark.parametrize("concurrent", [False, True])
-def test_both_directions_times_each_direction(concurrent):
-    delays = {"xy": 0.05, "yx": 0.15}
-    calls = []
+def _helper(on: bool):
+    """A one-thread executor, as `harness.compute_indices` makes for a unit,
+    or none."""
+    return ThreadPoolExecutor(1) if on else contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_both_directions_times_each_direction(helper):
+    # xy, the helper's direction, is the slower one: both_directions waits
+    # for it before it returns
+    delays = {"xy": 0.15, "yx": 0.05}
+    calls, done = [], []
 
     def fn(tag, direction):
         calls.append((direction, threading.current_thread() is threading.main_thread()))
         time.sleep(delays[direction])
+        done.append(direction)
         return tag + direction
 
     threads = threading.active_count()
-    (xy, t_xy), (yx, t_yx) = both_directions(fn, "v-", concurrent=concurrent)
+    with _helper(helper) as pool:
+        (xy, t_xy), (yx, t_yx) = both_directions(fn, "v-", helper=pool)
+        assert sorted(done) == ["xy", "yx"]
+        # the only thread is the caller's helper
+        assert threading.active_count() == threads + helper
     assert (xy, yx) == ("v-xy", "v-yx")
-    assert delays["xy"] <= t_xy < delays["yx"] <= t_yx
-    # yx runs first on the calling thread, or on the helper thread
-    assert sorted(calls) == [("xy", True), ("yx", not concurrent)]
-    if not concurrent:
+    assert delays["yx"] <= t_yx < delays["xy"] <= t_xy
+    # yx runs first on the calling thread, then xy there or on the helper
+    assert sorted(calls) == [("xy", not helper), ("yx", True)]
+    if not helper:
         assert calls == [("yx", True), ("xy", True)]
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", ["main", "side", "both"])
+@pytest.mark.parametrize("helper", [False, True])
+def test_beside_propagates_an_error_after_the_wait(helper, failing):
+    # an exception of either function reaches the caller unchanged, main's
+    # when both raise, and only once the helper's function has ended
+    done = []
+
+    def call(name, delay):
+        def fn():
+            time.sleep(delay)
+            done.append(name)
+            if failing in (name, "both"):
+                raise RuntimeError(name)
+            return name
+        return fn
+
+    with _helper(helper) as pool:
+        with pytest.raises(RuntimeError, match="main" if failing != "side" else "side"):
+            beside(pool, call("main", 0.0), call("side", 0.1))
+        # serially, side never starts after main raised
+        assert done == (["main"] if failing != "side" and not helper else ["main", "side"])
+        assert beside(pool, lambda: "main", lambda: "side") == ("main", "side")

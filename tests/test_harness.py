@@ -502,6 +502,42 @@ def test_helper_threads_run_the_graph_readers_in_one_lane(monkeypatch):
         assert (readers == {main}) is not split and len(readers) == 1
 
 
+def test_a_unit_starts_at_most_one_thread(monkeypatch):
+    # all ten indices on lp at the cut-off length: forced on, the unit starts
+    # its one helper thread, which runs the graph readers and one direction of
+    # te_ksg and ctir; forced off, it starts none. While the estimators run,
+    # at most one thread more than before the call is alive
+    pair = simulate.sim_lp(LpParams(lam=0.3, T=harness.HELPER_THREADS_MIN_T, seed=0))
+    starts, alive = [], []
+
+    def counted(self, _start=threading.Thread.start):
+        starts.append(self.name)
+        return _start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for module, name in ((regress, "egc"), (regress, "nlgc"), (regress, "pi"),
+                         (info, "te_hist"), (info, "ete_hist"), (info, "_cmi_ksg_impl"),
+                         (crossmap, "si_pair"), (crossmap, "ccm")):
+        def sampled(*args, _fn=getattr(module, name), **kwargs):
+            alive.append(threading.active_count())
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                alive.append(threading.active_count())
+        monkeypatch.setattr(module, name, sampled)
+    before = threading.active_count()
+    for split in (False, True):
+        starts.clear()
+        alive.clear()
+        _force_helper_threads(monkeypatch, split)
+        estimates = harness.compute_indices(pair, "lp", pair.T)
+        assert [est.status for est in estimates] == ["ok"] * len(harness.INDEX_NAMES)
+        assert len(starts) == split
+        # ctir's 2 x 20 KSG terms and te_ksg's 2 among the samples
+        assert len(alive) >= 2 * (2 * 20 + 2) and max(alive) <= before + split
+        assert threading.active_count() == before
+
+
 def test_helper_threads_failed_dimension_equal_one_thread(monkeypatch):
     # x missing at t = 2 mod 3: every m=1 row survives somewhere, no m=2 row
     # does. The lp presets read m=1 for pi and te_*, m=2 for egc, nlgc, si1,
@@ -531,9 +567,10 @@ def test_helper_threads_failed_dimension_equal_one_thread(monkeypatch):
 
 def test_helper_threads_under_fast_thread_switching(monkeypatch):
     # the lanes share the unit's estimates dict (one key per index) and its
-    # read-only delay matrices: with the interpreter switching threads every
-    # microsecond, three threads on at most two cores, every estimate still
-    # equals the one-thread path's
+    # read-only delay matrices, and te_ksg and ctir queue a direction behind
+    # the graph readers on the one helper thread: with the interpreter
+    # switching threads every microsecond, every estimate still equals the
+    # one-thread path's
     pair = simulate.sim_ulam(simulate.UlamParams(lam=0.4, T=300, seed=0))
     _force_helper_threads(monkeypatch, False)
     want = harness.compute_indices(pair, "ulam", 300)

@@ -104,9 +104,10 @@ def test_si_only_larger_radius_too_large():
 
 
 def test_ctir_reads_the_shared_m1_matrix(monkeypatch):
-    # one lp unit of all ten indices builds 41 delay matrices: harness's m=1
-    # and m=2, ete_hist's 10 shuffles per direction and ctir's horizons 2..20.
-    # ctir's horizon 1 is the m=1 matrix that te_hist, ete_hist and te_ksg read
+    # one lp unit of all ten indices builds 60 delay matrices: harness's m=1
+    # and m=2, ete_hist's 10 shuffles per direction and ctir's horizons 2..20
+    # per direction. ctir's horizon 1 is the m=1 matrix that te_hist, ete_hist
+    # and te_ksg read
     built = Counter()
     for module in (harness, info):
         def counted(pair, spec, _fn=module.embed, _name=module.__name__):
@@ -115,7 +116,7 @@ def test_ctir_reads_the_shared_m1_matrix(monkeypatch):
         monkeypatch.setattr(module, "embed", counted)
     pair = harness.simulate_pair("lp", (0.0, 0.3), 2000, seed=0)
     assert all(est.status == STATUS_OK for est in harness.compute_indices(pair, "lp", 2000))
-    assert built == {"bicausal.harness": 2, "bicausal.info": 20 + 19}
+    assert built == {"bicausal.harness": 2, "bicausal.info": 20 + 2 * 19}
 
 
 def test_failed_embedding_is_tried_once_per_dimension(monkeypatch):

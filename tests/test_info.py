@@ -1,6 +1,9 @@
+import contextlib
 import math
 import threading
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -372,7 +375,7 @@ def test_te_ksg_counts_match_tree(monkeypatch, m):
 
 
 # ---------------------------------------------------------------------------
-# the two directions on two threads against one thread
+# the two directions on the helper thread against one thread
 
 
 _DIRECTION_CASES = {
@@ -391,37 +394,45 @@ def test_concurrent_directions_equal_serial(case):
     pair = _DIRECTION_CASES[case]()
     presets = harness.index_presets("lp" if case.startswith("lp") else "ulam", pair.T)
     dm = embed(pair, EmbeddingSpec(m=1))
-    for estimate in (lambda flag: te_ksg(dm, presets["te_ksg"], concurrent=flag),
-                     lambda flag: ctir(dm, presets["ctir"], concurrent=flag)):
-        serial, concurrent = estimate(False), estimate(True)
-        assert (concurrent.value_xy, concurrent.value_yx, concurrent.status) == (
-            serial.value_xy, serial.value_yx, serial.status)
-        for est in (serial, concurrent):
-            assert est.elapsed_xy > 0 and est.elapsed_yx > 0
+    with ThreadPoolExecutor(1) as pool:
+        for estimate in (lambda helper: te_ksg(dm, presets["te_ksg"], helper=helper),
+                         lambda helper: ctir(dm, presets["ctir"], helper=helper)):
+            serial, concurrent = estimate(None), estimate(pool)
+            assert (concurrent.value_xy, concurrent.value_yx, concurrent.status) == (
+                serial.value_xy, serial.value_yx, serial.status)
+            for est in (serial, concurrent):
+                assert est.elapsed_xy > 0 and est.elapsed_yx > 0
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["helper-thread", "main-thread"])
 @pytest.mark.parametrize("concurrent", [False, True])
 def test_ctir_direction_error_propagates(swap, concurrent):
     # ctir's per-direction function through `core.both_directions`, with one
-    # direction given a lag matrix of fewer than k+1 rows: yx (the helper
-    # thread's when concurrent) without the swap, xy (the calling thread's)
-    # with it
+    # direction given a lag matrix of fewer than k+1 rows: xy (the helper
+    # thread's when concurrent) without the swap, yx (the calling thread's)
+    # with it. The other direction is slower, and the error propagates only
+    # once it has ended
     pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
-    good = embed(pair, EmbeddingSpec(m=1, h=2))
+    good = embed(pair, EmbeddingSpec(m=1))
     short = embed(SeriesPair(pair.x[:4], pair.y[:4]), EmbeddingSpec(m=1))
-    failing = "xy" if swap else "yx"
-    raised_on_main = []
+    failing = "yx" if swap else "xy"
+    raised_on_main, done = [], []
 
-    def direction(p, d):
+    def direction(p, tau_max, d):
         if d == failing:
             raised_on_main.append(threading.current_thread() is threading.main_thread())
-            return info._te_ksg_direction(short, p, d)
-        return info._te_ksg_direction(good, p, d)
+            return info._te_ksg_direction(short, p, tau_max, d)
+        time.sleep(0.05)
+        result = info._te_ksg_direction(good, p, tau_max, d)
+        done.append(d)
+        return result
 
     threads = threading.active_count()
-    with pytest.raises(InsufficientPointsError):
-        both_directions(direction, KsgParams(), concurrent=concurrent)
+    with ThreadPoolExecutor(1) if concurrent else contextlib.nullcontext() as pool:
+        with pytest.raises(InsufficientPointsError):
+            both_directions(direction, KsgParams(), 2, helper=pool)
+        # serially yx runs first, so a failing yx leaves xy unrun
+        assert done == ([] if swap and not concurrent else ["xy" if swap else "yx"])
     assert raised_on_main == [swap or not concurrent]
     assert threading.active_count() == threads
 
@@ -442,8 +453,8 @@ def test_ctir_no_complete_row_at_lag_one():
 
 def test_ctir_no_complete_row_at_a_later_lag(monkeypatch):
     # x missing at t = 2, 3 mod 4: lag-1 rows (t = 0 mod 4) survive, but no
-    # lag-2 row has x at both t and t+2, so ctir's lag-2 embed raises on the
-    # calling thread, after the lag-1 terms and their helper thread are done
+    # lag-2 row has x at both t and t+2, so each direction's lag-2 embed
+    # raises, after that direction's lag-1 term, on its own thread
     pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
     x = pair.x.copy()
     x[(np.arange(600) % 4) >= 2] = np.nan
@@ -451,8 +462,9 @@ def test_ctir_no_complete_row_at_a_later_lag(monkeypatch):
     dm = embed(pair, EmbeddingSpec(m=1))
     threads = threading.active_count()
     for concurrent in (False, True):
-        with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
-            ctir(dm, CtirParams(tau_max=2), concurrent=concurrent)
+        with ThreadPoolExecutor(1) if concurrent else contextlib.nullcontext() as pool:
+            with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
+                ctir(dm, CtirParams(tau_max=2), helper=pool)
         assert threading.active_count() == threads
     for split in (False, True):
         monkeypatch.setattr(harness, "helper_threads", lambda T, processes=1, s=split: s)
