@@ -50,16 +50,16 @@ def beside(helper, main, side):
         wait([future])
 
 
-def both_directions(fn, *args, helper=None):
+def both_directions(fn, *args):
     """((result, seconds) of fn(*args, "xy"), (result, seconds) of
-    fn(*args, "yx")): yx runs first, then xy, on the calling thread, or with
-    `helper` xy runs on it while this thread runs yx (`beside`)."""
+    fn(*args, "yx")): yx runs first, then xy, on the calling thread."""
     def timed(direction):
         t0 = time.perf_counter()
         result = fn(*args, direction)
         return result, time.perf_counter() - t0
 
-    return beside(helper, lambda: timed("yx"), lambda: timed("xy"))[::-1]
+    yx = timed("yx")
+    return timed("xy"), yx
 
 
 def _as_series(values, name: str) -> np.ndarray:
@@ -142,10 +142,12 @@ class DelayMatrix:
     likewise for y, and the future values x_{t+h}, y_{t+h}. Only rows whose
     every component is present survive. One matrix serves both directions.
 
-    The matrix also keeps the kNN graphs read through `knn_graph`, one per
-    embedding, for its whole lifetime (as `PointSet` keeps its kd-tree), so
-    pi, si and ccm called on one matrix share them. A caller that holds on to
-    a matrix holds on to its graphs.
+    The matrix also keeps, for its whole lifetime (as `PointSet` keeps its
+    kd-tree), the kNN graphs read through `knn_graph`, one per embedding, which
+    pi, si and ccm share, and in `ksg_terms` te_ksg's and ctir's k-NN terms,
+    (k, seed) -> {(direction, horizon): (value, degenerate, seconds) or the
+    BicausalError raised}, filled by `info`. A caller that holds on to a
+    matrix holds on to both.
     """
 
     t: np.ndarray = field(repr=False)
@@ -156,6 +158,7 @@ class DelayMatrix:
     source: SeriesPair = field(repr=False)
     spec: EmbeddingSpec = None
     _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ksg_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -266,9 +269,10 @@ class IndexEstimate:
     difference whenever both are finite. Elapsed seconds are wall-clock per
     direction, measured for each direction by `both_directions`, except egc
     and nlgc, whose two directions come from one joint computation that is
-    split evenly. A unit with a helper thread (`harness.helper_threads`) runs
-    the kNN-graph readers beside the other estimates, and te_ksg's and
-    ctir's two directions beside each other, so their times overlap.
+    split evenly, and te_ksg and ctir, each direction of which sums its k-NN
+    terms' seconds. A unit with a helper thread (`harness.helper_threads`)
+    runs the kNN-graph readers beside the other estimates, and both threads
+    compute k-NN terms, so their times overlap.
     """
 
     index: str

@@ -12,12 +12,12 @@ the estimator call, with its preset parameters, that computes it;
 `compute_indices` runs the requested entries on one pair and builds each
 delay matrix once: te_hist, ete_hist, te_ksg and ctir read the same m=1
 matrix. si1 and si2 are each one `crossmap.si_pair` call at their own R.
-pi, si1, si2 and ccm share one kNN graph per series and embedding dimension
-per call: the call's delay matrices keep them (`DelayMatrix.knn_graph`), and
-the graph readers run largest k first, so each graph is built once, by the
-reader that reads all of it, and a lone request builds it at its own k. With
-`helper_threads`, they run beside the other entries on the unit's one helper
-thread, which te_ksg and ctir then share; a unit starts no other thread.
+pi, si1, si2 and ccm share one kNN graph per series and embedding dimension,
+and te_ksg and ctir one k-NN term per direction and horizon, which the delay
+matrices keep; their readers run largest read first, so each is made once, by
+the reader of all of it. With `helper_threads`, the graph readers run on the
+unit's one helper thread, which then draws k-NN terms beside the calling
+thread; a unit starts no other thread.
 """
 
 from __future__ import annotations
@@ -141,26 +141,29 @@ def index_presets(simulation: str, T: int) -> dict:
     return out
 
 
-# name -> (embedding dimension, call(dm, presets, helper), graph k).
+# name -> (embedding dimension, call(dm, presets, helper), kept read).
 # The dimension is a preset key or a fixed m, and the call gets that horizon-1
-# delay matrix (ctir reads te_ksg's m=1 matrix and embeds its later horizons
-# itself) and returns the index's estimate; `helper` (`compute_indices`) runs
-# a te_ksg or ctir direction. Each call looks its estimator up on the module
-# when it runs, never binding it at import, so that wrappers placed on the
-# module attribute (perfbench/tracing.py times each layer that way) see every
-# call. graph k(presets) is the k an entry reads from the x and y kNN graphs
-# of its matrix, None for an entry that reads none.
+# delay matrix and returns the index's estimate; te_ksg and ctir draw k-NN terms
+# on `helper` (`compute_indices`). Each call looks its estimator up on the
+# module when it runs, never binding it at import, so that wrappers placed on
+# the module attribute (perfbench/tracing.py times each layer that way) see
+# every call. kept read(presets) is what an entry reads of its matrix's kept
+# work, ("graph", k) of the x and y kNN graphs or ("terms", tau_max), or None.
 INDEX_TABLE = {
     "egc": ("m", lambda dm, ps, _: regress.egc(dm, ps["egc"]), None),
     "nlgc": ("m", lambda dm, ps, _: regress.nlgc(dm, ps["nlgc"]), None),
-    "pi": ("pi_m", lambda dm, ps, _: regress.pi(dm, ps["pi"]), lambda ps: ps["pi"].R),
+    "pi": ("pi_m", lambda dm, ps, _: regress.pi(dm, ps["pi"]), lambda ps: ("graph", ps["pi"].R)),
     "te_hist": (1, lambda dm, ps, _: info.te_hist(dm, ps["te_hist"]), None),
     "ete_hist": (1, lambda dm, ps, _: info.ete_hist(dm, ps["te_hist"], ps["ete_hist"]), None),
-    "te_ksg": (1, lambda dm, ps, helper: info.te_ksg(dm, ps["te_ksg"], helper), None),
-    "ctir": (1, lambda dm, ps, helper: info.ctir(dm, ps["ctir"], helper), None),
-    "si1": ("m", lambda dm, ps, _: crossmap.si_pair(dm, ps["si1"])[0], lambda ps: ps["si1"].R),
-    "si2": ("m", lambda dm, ps, _: crossmap.si_pair(dm, ps["si2"])[1], lambda ps: ps["si2"].R),
-    "ccm": ("m", lambda dm, ps, _: crossmap.ccm(dm, ps["ccm"]), lambda ps: ps["m"] + 1),
+    "te_ksg": (1, lambda dm, ps, helper: info.te_ksg(dm, ps["te_ksg"], helper),
+               lambda ps: ("terms", 1)),
+    "ctir": (1, lambda dm, ps, helper: info.ctir(dm, ps["ctir"], helper),
+             lambda ps: ("terms", ps["ctir"].tau_max)),
+    "si1": ("m", lambda dm, ps, _: crossmap.si_pair(dm, ps["si1"])[0],
+            lambda ps: ("graph", ps["si1"].R)),
+    "si2": ("m", lambda dm, ps, _: crossmap.si_pair(dm, ps["si2"])[1],
+            lambda ps: ("graph", ps["si2"].R)),
+    "ccm": ("m", lambda dm, ps, _: crossmap.ccm(dm, ps["ccm"]), lambda ps: ("graph", ps["m"] + 1)),
 }
 INDEX_NAMES = tuple(INDEX_TABLE)
 
@@ -372,12 +375,13 @@ def compute_indices(pair: SeriesPair, simulation: str, T: int,
                 with contextlib.suppress(BicausalError):
                     got[name] = INDEX_TABLE[name][1](dms[dims[name]], presets, helper)
 
-    # the graph readers share their matrices' graphs, so they run in one lane,
-    # largest k first: each graph is built once, by the reader of all of it.
-    # The lane gets no helper, so no task on the helper waits for the helper
-    graph_k = {name: INDEX_TABLE[name][2] for name in indices}
-    readers = sorted((n for n in indices if graph_k[n]), key=lambda n: -graph_k[n](presets))
-    others = [name for name in indices if not graph_k[name]]
+    # the graph readers run in one lane, largest k first, with no helper (no
+    # task on the helper waits for it); the other lane ends with the k-NN term
+    # readers, which both threads serve, largest tau_max first
+    reads = {n: INDEX_TABLE[n][2](presets) if INDEX_TABLE[n][2] else (None, 0) for n in indices}
+    order = sorted(indices, key=lambda n: (reads[n][0] is not None, -reads[n][1]))
+    readers = [name for name in order if reads[name][0] == "graph"]
+    others = [name for name in order if reads[name][0] != "graph"]
     with (ThreadPoolExecutor(1) if helper_threads(pair.T, processes)
           else contextlib.nullcontext()) as helper:  # joined before this returns or raises
         beside(helper, lambda: run(others, helper), lambda: run(readers, None))
@@ -568,6 +572,8 @@ def sweep_from_csv(path) -> SweepResult:
         with _csv_line(path, line):
             sim, lxy, lyx, run, index, direction, value, elapsed, status = row
             _entry(sim), check_index_names([index]), sides(direction)
+            if records and sim != records[0].simulation:
+                raise ValueError(f"simulation {sim!r} after rows of {records[0].simulation!r}")
             if status not in (STATUS_OK, STATUS_DEGENERATE):
                 raise ValueError(f"unknown status {status!r}")
             records.append(Record(

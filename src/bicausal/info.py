@@ -18,18 +18,20 @@ in x_j, so the counts equal the tree's exactly. Two columns add an integer
 rectangle count over the two rank orders. Marginals of three or more columns
 use the kd-tree ball count (`_tree_counts`).
 
-Each estimator computes one direction in a function of the direction, and
-`core.both_directions` runs it for both and times each. `te_ksg` and `ctir`
-take the unit's `helper` executor, if it has one (`harness.compute_indices`
-makes it): their xy direction then runs on it while the calling thread runs
-yx, each direction over all its horizons; the kd-tree queries, sorts and
-`searchsorted` that do the work release the GIL. Each direction computes
-exactly what it computes alone, so the values do not depend on it, but the
-two elapsed times may overlap.
+The histogram estimators compute one direction at a time through
+`core.both_directions`. te_ksg and ctir read k-NN terms, one per (direction,
+horizon), that the delay matrix keeps (`DelayMatrix.ksg_terms`): te_ksg its
+horizon-1 terms, ctir horizons 1..tau_max, so a read computes only the terms
+not yet kept. The calling thread and the unit's `helper` executor, if any,
+draw the missing terms one at a time; the work releases the GIL, and values
+do not depend on which thread drew a term.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,16 +39,18 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .core import (
+    SIDES,
     STATUS_DEGENERATE,
     STATUS_OK,
     DelayMatrix,
     IndexEstimate,
+    beside,
     both_directions,
     check_integer,
     embed,
     sides,
 )
-from .errors import InsufficientDataError, InsufficientPointsError, ValidationError
+from .errors import BicausalError, InsufficientDataError, InsufficientPointsError, ValidationError
 from .neighbors import seeded_jitter
 
 # amplitude of the tie-breaking jitter, relative to each column's std
@@ -396,31 +400,55 @@ def cmi_ksg(a, b, c=None, p: KsgParams = KsgParams()) -> float:
     return _cmi_ksg_impl(a, b, c, p)[0]
 
 
-def _te_ksg_direction(dm: DelayMatrix, p: KsgParams, tau_max: int,
-                      direction: str) -> tuple[float, bool]:
-    """k-NN TE of one direction ("yx": Y -> X, "xy": X -> Y) averaged over
-    the horizons tau = 1..tau_max, and whether any term was degenerate. The
-    horizon-1 term reads `dm`; a later one embeds `dm.source` at that horizon
-    when it is due, so one horizon's matrix is held at a time."""
+def _ksg_term(dm: DelayMatrix, p: KsgParams, direction: str, tau: int) -> tuple:
+    """(value, degenerate, seconds) of one direction's k-NN TE term at horizon
+    tau: on `dm`, or on its source embedded at that horizon, dropped after."""
+    t0 = time.perf_counter()
+    lag = dm if tau == 1 else embed(dm.source, replace(dm.spec, h=tau))
     own, other = sides(direction)
-    lags = (dm if tau == 1 else embed(dm.source, replace(dm.spec, h=tau))
-            for tau in range(1, tau_max + 1))
-    values, degenerate = zip(*(_cmi_ksg_impl(lag.future(own), lag.emb(other), lag.emb(own), p)
-                               for lag in lags))
-    return float(np.mean(values)), any(degenerate)
+    value, degenerate = _cmi_ksg_impl(lag.future(own), lag.emb(other), lag.emb(own), p)
+    return value, degenerate, time.perf_counter() - t0
 
 
-def _te_ksg_estimate(index: str, dm: DelayMatrix, p: KsgParams, tau_max: int,
-                     helper) -> IndexEstimate:
-    ((v_xy, deg_xy), t_xy), ((v_yx, deg_yx), t_yx) = both_directions(
-        _te_ksg_direction, dm, p, tau_max, helper=helper)
+def _ksg_estimate(index: str, dm: DelayMatrix, p: KsgParams, tau_max: int,
+                  helper) -> IndexEstimate:
+    """Each direction's mean term over horizons 1..tau_max (`dm.ksg_terms`),
+    timed by the sum of its terms' seconds. The calling thread and `helper`
+    draw the missing terms from one list (`core.beside`); a BicausalError is
+    kept, ends the drawing, and is raised once both threads have stopped."""
+    kept = dm.ksg_terms.setdefault((p.k, p.seed), {})
+    wanted = [(d, tau) for tau in range(1, tau_max + 1) for d in SIDES]
+    pending, lock = [key for key in wanted if key not in kept], threading.Lock()
+
+    def draw():
+        with lock:
+            return pending.pop(0) if pending else None
+
+    def drain():
+        while key := draw():
+            try:
+                kept[key] = _ksg_term(dm, p, *key)
+            except BicausalError as exc:
+                kept[key] = exc.with_traceback(None)
+                with lock:
+                    pending.clear()
+
+    if pending:  # so that a read of kept terms never waits behind the helper's queue
+        beside(helper, drain, drain)
+    error = next((kept[key] for key in wanted if isinstance(kept[key], BicausalError)), None)
+    if error is not None:  # raised as a copy, so that no traceback ties `dm` into a cycle
+        raise copy.copy(error)
+    (v_xy, deg_xy, t_xy), (v_yx, deg_yx, t_yx) = (
+        (float(np.mean(v)), any(g), sum(s))
+        for v, g, s in (zip(*(kept[d, tau] for tau in range(1, tau_max + 1))) for d in SIDES))
     status = STATUS_DEGENERATE if (deg_yx or deg_xy) else STATUS_OK
     return IndexEstimate(index, v_xy, v_yx, t_xy, t_yx, status)
 
 
 def te_ksg(dm: DelayMatrix, p: KsgParams = KsgParams(), helper=None) -> IndexEstimate:
-    """k-NN transfer entropy: I(future; source embedding | own embedding)."""
-    return _te_ksg_estimate("te_ksg", dm, p, 1, helper)
+    """k-NN transfer entropy: I(future; source embedding | own embedding), the
+    horizon-1 terms of `dm`, which ctir with the same k and seed shares."""
+    return _ksg_estimate("te_ksg", dm, p, 1, helper)
 
 
 def ctir(dm: DelayMatrix, p: CtirParams, helper=None) -> IndexEstimate:
@@ -428,14 +456,14 @@ def ctir(dm: DelayMatrix, p: CtirParams, helper=None) -> IndexEstimate:
     tau = 1..tau_max (net flow via D), read from a horizon-1 delay matrix
     (m=1 in the presets, te_ksg's own matrix).
 
-    The lag-1 term is te_ksg's on `dm`; the lag-tau term is te_ksg's on
-    `embed(dm.source, replace(dm.spec, h=tau))`, which each direction builds
-    when its term is due. At each lag both directions use the same rows, and
-    missing samples are dropped by `embed`'s rule alone; a lag with no
-    complete row raises. With tau_max = 1 this is te_ksg on `dm`.
+    The lag-1 term is te_ksg's on `dm`, the same kept term; the lag-tau term
+    is te_ksg's on `embed(dm.source, replace(dm.spec, h=tau))`, built when the
+    term is drawn. At each lag both directions use the same rows, and missing
+    samples are dropped by `embed`'s rule alone; a lag with no complete row
+    raises. With tau_max = 1 this is te_ksg on `dm`.
     """
     if dm.spec.h != 1:
         raise ValidationError(f"ctir reads a horizon-1 delay matrix, got h={dm.spec.h}")
     if dm.source.T <= p.tau_max + 2:
         raise InsufficientDataError("series too short for the requested tau_max")
-    return _te_ksg_estimate("ctir", dm, p, p.tau_max, helper)
+    return _ksg_estimate("ctir", dm, p, p.tau_max, helper)

@@ -291,9 +291,12 @@ SWEEP_HEADER = "simulation,lambda_xy,lambda_yx,run,index,direction,value,elapsed
      "line 2: unknown status 'bogus'"),
     ("report", SWEEP_HEADER + "nosuch,0.0,0.1,0,te_hist,xy,0.5,0.1,ok\n",
      "line 2: unknown simulation 'nosuch'"),
+    ("report", SWEEP_HEADER + "ulam,0.0,0.1,0,te_hist,xy,0.5,0.1,ok\n"
+     "lp,0.0,0.1,0,te_hist,yx,0.5,0.1,ok\n", "line 3: simulation 'lp' after rows of 'ulam'"),
 ], ids=["indices-non-numeric", "indices-short-row", "indices-empty",
         "report-empty", "report-short-row", "report-unknown-index",
-        "report-unknown-direction", "report-unknown-status", "report-unknown-simulation"])
+        "report-unknown-direction", "report-unknown-status", "report-unknown-simulation",
+        "report-mixed-simulations"])
 def test_malformed_csv_exits_1(tmp_path, capsys, command, body, where):
     path = tmp_path / "bad.csv"
     path.write_text(body)

@@ -269,29 +269,32 @@ def _helper(on: bool):
 
 @pytest.mark.parametrize("helper", [False, True])
 def test_both_directions_times_each_direction(helper):
-    # xy, the helper's direction, is the slower one: both_directions waits
-    # for it before it returns
+    # both directions run on the thread that calls both_directions, yx first:
+    # the calling thread, or the unit's helper thread, where the kNN-graph
+    # readers call it. xy is the slower one, and each time is its own
     delays = {"xy": 0.15, "yx": 0.05}
-    calls, done = [], []
+    calls, done, caller = [], [], []
 
     def fn(tag, direction):
-        calls.append((direction, threading.current_thread() is threading.main_thread()))
+        calls.append((direction, threading.get_ident()))
         time.sleep(delays[direction])
         done.append(direction)
         return tag + direction
 
+    def side():
+        caller.append(threading.get_ident())
+        return both_directions(fn, "v-")
+
     threads = threading.active_count()
     with _helper(helper) as pool:
-        (xy, t_xy), (yx, t_yx) = both_directions(fn, "v-", helper=pool)
+        (xy, t_xy), (yx, t_yx) = beside(pool, lambda: None, side)[1]
         assert sorted(done) == ["xy", "yx"]
         # the only thread is the caller's helper
         assert threading.active_count() == threads + helper
     assert (xy, yx) == ("v-xy", "v-yx")
     assert delays["yx"] <= t_yx < delays["xy"] <= t_xy
-    # yx runs first on the calling thread, then xy there or on the helper
-    assert sorted(calls) == [("xy", not helper), ("yx", True)]
-    if not helper:
-        assert calls == [("yx", True), ("xy", True)]
+    assert calls == [("yx", caller[0]), ("xy", caller[0])]
+    assert (caller[0] == threading.get_ident()) is not helper
     assert threading.active_count() == threads
 
 

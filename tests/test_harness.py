@@ -504,9 +504,9 @@ def test_helper_threads_run_the_graph_readers_in_one_lane(monkeypatch):
 
 def test_a_unit_starts_at_most_one_thread(monkeypatch):
     # all ten indices on lp at the cut-off length: forced on, the unit starts
-    # its one helper thread, which runs the graph readers and one direction of
-    # te_ksg and ctir; forced off, it starts none. While the estimators run,
-    # at most one thread more than before the call is alive
+    # its one helper thread, which runs the graph readers and then draws k-NN
+    # terms of ctir; forced off, it starts none. While the estimators run, at
+    # most one thread more than before the call is alive
     pair = simulate.sim_lp(LpParams(lam=0.3, T=harness.HELPER_THREADS_MIN_T, seed=0))
     starts, alive = [], []
 
@@ -533,7 +533,8 @@ def test_a_unit_starts_at_most_one_thread(monkeypatch):
         estimates = harness.compute_indices(pair, "lp", pair.T)
         assert [est.status for est in estimates] == ["ok"] * len(harness.INDEX_NAMES)
         assert len(starts) == split
-        # ctir's 2 x 20 KSG terms and te_ksg's 2 among the samples
+        # ctir's 2 x 20 KSG terms, which te_ksg reads, and the other
+        # estimators among the samples
         assert len(alive) >= 2 * (2 * 20 + 2) and max(alive) <= before + split
         assert threading.active_count() == before
 
@@ -567,10 +568,10 @@ def test_helper_threads_failed_dimension_equal_one_thread(monkeypatch):
 
 def test_helper_threads_under_fast_thread_switching(monkeypatch):
     # the lanes share the unit's estimates dict (one key per index) and its
-    # read-only delay matrices, and te_ksg and ctir queue a direction behind
-    # the graph readers on the one helper thread: with the interpreter
-    # switching threads every microsecond, every estimate still equals the
-    # one-thread path's
+    # delay matrices, whose k-NN terms both threads fill, and ctir queues its
+    # drawing behind the graph readers on the one helper thread: with the
+    # interpreter switching threads every microsecond, every estimate still
+    # equals the one-thread path's
     pair = simulate.sim_ulam(simulate.UlamParams(lam=0.4, T=300, seed=0))
     _force_helper_threads(monkeypatch, False)
     want = harness.compute_indices(pair, "ulam", 300)

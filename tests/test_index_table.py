@@ -4,6 +4,7 @@ its indices, and the estimators' parameter checks."""
 
 import gc
 import math
+import threading
 import time
 from collections import Counter
 
@@ -291,3 +292,59 @@ def test_compute_indices_leaves_no_reference_cycle(simulation, T, point, decimal
     for est in estimates:
         if est.index in ("pi", "si1", "si2", "ccm"):
             assert est.elapsed_xy + est.elapsed_yx > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the k-NN terms te_ksg and ctir share through their delay matrix
+
+
+def _force_helper_threads(monkeypatch, split: bool):
+    monkeypatch.setattr(harness, "helper_threads", lambda T, processes=1: split)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_each_ksg_term_computed_once_per_unit(monkeypatch, split):
+    # ctir reads horizons 1..tau_max of each direction and te_ksg horizon 1:
+    # together they make 2 tau_max KSG calls, te_ksg alone 2 and ctir alone
+    # 2 tau_max; with a helper thread, both threads draw ctir's terms
+    pair = harness.simulate_pair("lp", (0.0, 0.3), harness.HELPER_THREADS_MIN_T, seed=0)
+    tau_max = harness.index_presets("lp", pair.T)["ctir"].tau_max
+    calls = []
+
+    def counted(*args, _fn=info._cmi_ksg_impl):
+        calls.append(threading.get_ident())
+        return _fn(*args)
+
+    monkeypatch.setattr(info, "_cmi_ksg_impl", counted)
+    _force_helper_threads(monkeypatch, split)
+    for names, n in ((harness.INDEX_NAMES, 2 * tau_max), (("te_ksg",), 2),
+                     (("ctir",), 2 * tau_max), (("te_ksg", "ctir"), 2 * tau_max)):
+        calls.clear()
+        got = harness.compute_indices(pair, "lp", pair.T, names)
+        assert [est.index for est in got] == list(names)
+        assert len(calls) == n, names
+        if names != ("te_ksg",):
+            assert len(set(calls)) == 1 + split, names
+
+
+@pytest.mark.parametrize("names", [("te_ksg",), harness.INDEX_NAMES])
+def test_ksg_time_is_the_sum_of_the_terms_read(monkeypatch, names):
+    # every KSG call takes at least `delay` more: each te_ksg direction reads
+    # one term, whether or not ctir computed it, and each ctir direction
+    # reads tau_max of them
+    delay = 0.04
+    pair = harness.simulate_pair("lp", (0.0, 0.3), 600, seed=0)
+    tau_max = harness.index_presets("lp", pair.T)["ctir"].tau_max
+
+    def slow(*args, _fn=info._cmi_ksg_impl):
+        time.sleep(delay)
+        return _fn(*args)
+
+    monkeypatch.setattr(info, "_cmi_ksg_impl", slow)
+    for split in (False, True):
+        _force_helper_threads(monkeypatch, split)
+        got = {est.index: est for est in harness.compute_indices(pair, "lp", pair.T, names)}
+        for direction in ("xy", "yx"):
+            assert delay <= getattr(got["te_ksg"], f"elapsed_{direction}") < 2 * delay
+            if "ctir" in got:
+                assert getattr(got["ctir"], f"elapsed_{direction}") >= tau_max * delay

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import math
 import threading
 import time
@@ -31,7 +32,7 @@ from bicausal import (
     te_lp_analytic,
     te_lp_small_lam,
 )
-from bicausal.core import STATUS_DEGENERATE, STATUS_OK, both_directions
+from bicausal.core import STATUS_DEGENERATE, STATUS_OK
 from bicausal.errors import (
     InsufficientDataError,
     InsufficientPointsError,
@@ -375,7 +376,7 @@ def test_te_ksg_counts_match_tree(monkeypatch, m):
 
 
 # ---------------------------------------------------------------------------
-# the two directions on the helper thread against one thread
+# the k-NN terms drawn by two threads against one thread
 
 
 _DIRECTION_CASES = {
@@ -389,51 +390,70 @@ _DIRECTION_CASES = {
 }
 
 
+def _fields(est):
+    return est.value_xy, est.value_yx, est.status
+
+
 @pytest.mark.parametrize("case", list(_DIRECTION_CASES))
 def test_concurrent_directions_equal_serial(case):
+    # each estimate on its own matrix, its terms drawn by the calling thread
+    # alone or beside the helper; then te_ksg read after ctir on one matrix
+    # reads ctir's horizon-1 terms, and equals te_ksg alone
     pair = _DIRECTION_CASES[case]()
     presets = harness.index_presets("lp" if case.startswith("lp") else "ulam", pair.T)
-    dm = embed(pair, EmbeddingSpec(m=1))
     with ThreadPoolExecutor(1) as pool:
-        for estimate in (lambda helper: te_ksg(dm, presets["te_ksg"], helper=helper),
-                         lambda helper: ctir(dm, presets["ctir"], helper=helper)):
-            serial, concurrent = estimate(None), estimate(pool)
-            assert (concurrent.value_xy, concurrent.value_yx, concurrent.status) == (
-                serial.value_xy, serial.value_yx, serial.status)
+        for estimate in (lambda dm, helper: te_ksg(dm, presets["te_ksg"], helper=helper),
+                         lambda dm, helper: ctir(dm, presets["ctir"], helper=helper)):
+            serial, concurrent = (estimate(embed(pair, EmbeddingSpec(m=1)), helper)
+                                  for helper in (None, pool))
+            assert _fields(concurrent) == _fields(serial)
             for est in (serial, concurrent):
                 assert est.elapsed_xy > 0 and est.elapsed_yx > 0
+        dm = embed(pair, EmbeddingSpec(m=1))
+        shared = ctir(dm, presets["ctir"], helper=pool)
+        assert _fields(shared) == _fields(serial)
+        assert _fields(te_ksg(dm, presets["te_ksg"])) == _fields(
+            te_ksg(embed(pair, EmbeddingSpec(m=1)), presets["te_ksg"]))
 
 
-@pytest.mark.parametrize("swap", [False, True], ids=["helper-thread", "main-thread"])
+@pytest.mark.parametrize("failing", ["xy", "yx"])
 @pytest.mark.parametrize("concurrent", [False, True])
-def test_ctir_direction_error_propagates(swap, concurrent):
-    # ctir's per-direction function through `core.both_directions`, with one
-    # direction given a lag matrix of fewer than k+1 rows: xy (the helper
-    # thread's when concurrent) without the swap, yx (the calling thread's)
-    # with it. The other direction is slower, and the error propagates only
-    # once it has ended
+def test_ksg_term_error_propagates_after_the_drawing_stops(monkeypatch, failing, concurrent):
+    # ctir's horizon-1 term of one direction raises; every other term is
+    # slower. The error reaches the caller only once no term is being
+    # computed, no term is drawn after it but one the other thread may draw
+    # at the same time, and the matrix keeps it: te_ksg on the same matrix
+    # raises it again without computing that term a second time
     pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
-    good = embed(pair, EmbeddingSpec(m=1))
     short = embed(SeriesPair(pair.x[:4], pair.y[:4]), EmbeddingSpec(m=1))
-    failing = "yx" if swap else "xy"
-    raised_on_main, done = [], []
+    events, term = [], info._ksg_term
 
-    def direction(p, tau_max, d):
-        if d == failing:
-            raised_on_main.append(threading.current_thread() is threading.main_thread())
-            return info._te_ksg_direction(short, p, tau_max, d)
+    def drawn(dm, p, direction, tau):
+        events.append(("start", direction, tau))
+        if (direction, tau) == (failing, 1):
+            events.append(("fail", direction, tau))
+            return term(short, p, direction, tau)
         time.sleep(0.05)
-        result = info._te_ksg_direction(good, p, tau_max, d)
-        done.append(d)
+        result = term(dm, p, direction, tau)
+        events.append(("end", direction, tau))
         return result
 
+    monkeypatch.setattr(info, "_ksg_term", drawn)
+    dm = embed(pair, EmbeddingSpec(m=1))
     threads = threading.active_count()
     with ThreadPoolExecutor(1) if concurrent else contextlib.nullcontext() as pool:
         with pytest.raises(InsufficientPointsError):
-            both_directions(direction, KsgParams(), 2, helper=pool)
-        # serially yx runs first, so a failing yx leaves xy unrun
-        assert done == ([] if swap and not concurrent else ["xy" if swap else "yx"])
-    assert raised_on_main == [swap or not concurrent]
+            ctir(dm, CtirParams(tau_max=3), helper=pool)
+        started = [e[1:] for e in events if e[0] == "start"]
+        ended = [e[1:] for e in events if e[0] in ("end", "fail")]
+        assert sorted(started) == sorted(ended)
+        after = events[events.index(("fail", failing, 1)) + 1:]
+        assert sum(e[0] == "start" for e in after) <= concurrent
+        assert isinstance(dm.ksg_terms[4, 0][failing, 1], InsufficientPointsError)
+        events.clear()
+        with pytest.raises(InsufficientPointsError):
+            te_ksg(dm, KsgParams(), helper=pool)
+        assert ("start", failing, 1) not in events
     assert threading.active_count() == threads
 
 
@@ -453,21 +473,33 @@ def test_ctir_no_complete_row_at_lag_one():
 
 def test_ctir_no_complete_row_at_a_later_lag(monkeypatch):
     # x missing at t = 2, 3 mod 4: lag-1 rows (t = 0 mod 4) survive, but no
-    # lag-2 row has x at both t and t+2, so each direction's lag-2 embed
-    # raises, after that direction's lag-1 term, on its own thread
+    # lag-2 row has x at both t and t+2, so a lag-2 term's embed raises, after
+    # the lag-1 terms, on whichever thread drew it. ctir is degenerate, and
+    # te_ksg, which reads the lag-1 terms only, is not. The matrix keeps the
+    # error, and raising it leaves no reference cycle
     pair = sim_lp(LpParams(lam=0.3, T=600, seed=19))
     x = pair.x.copy()
     x[(np.arange(600) % 4) >= 2] = np.nan
     pair = SeriesPair(x, pair.y)
-    dm = embed(pair, EmbeddingSpec(m=1))
     threads = threading.active_count()
     for concurrent in (False, True):
         with ThreadPoolExecutor(1) if concurrent else contextlib.nullcontext() as pool:
             with pytest.raises(InsufficientDataError, match="no complete embedding rows"):
-                ctir(dm, CtirParams(tau_max=2), helper=pool)
+                ctir(embed(pair, EmbeddingSpec(m=1)), CtirParams(tau_max=2), helper=pool)
         assert threading.active_count() == threads
+    alone = te_ksg(embed(pair, EmbeddingSpec(m=1)), KsgParams())
+    assert alone.status == STATUS_OK
     for split in (False, True):
         monkeypatch.setattr(harness, "helper_threads", lambda T, processes=1, s=split: s)
         (est,) = compute_indices(pair, "lp", pair.T, ("ctir",))
         assert est.status == STATUS_DEGENERATE and math.isnan(est.value_xy)
+        gc.collect()
+        gc.disable()
+        try:
+            est, ksg = compute_indices(pair, "lp", pair.T, ("ctir", "te_ksg"))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert est.status == STATUS_DEGENERATE and math.isnan(est.value_xy)
+        assert _fields(ksg) == _fields(alone)
         assert threading.active_count() == threads
