@@ -621,6 +621,9 @@ def pair_from_csv(path) -> SeriesPair:
 
 
 def write_manifest(path, cfg: SweepConfig, extra: dict | None = None):
+    blas = {}
+    with contextlib.suppress(TypeError, KeyError):  # numpy < 1.25 reports no dicts
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
         "simulation": cfg.simulation,
         "T": cfg.T,
@@ -644,6 +647,8 @@ def write_manifest(path, cfg: SweepConfig, extra: dict | None = None):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
+        "blas": {key: blas.get(key) for key in ("name", "version")} | {var: os.environ.get(var)
+                 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     if extra:
         payload.update(extra)

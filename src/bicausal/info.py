@@ -418,7 +418,8 @@ def _ksg_estimate(index: str, dm: DelayMatrix, p: KsgParams, tau_max: int,
     kept, ends the drawing, and is raised once both threads have stopped."""
     kept = dm.ksg_terms.setdefault((p.k, p.seed), {})
     wanted = [(d, tau) for tau in range(1, tau_max + 1) for d in SIDES]
-    pending, lock = [key for key in wanted if key not in kept], threading.Lock()
+    failed = any(isinstance(kept.get(key), BicausalError) for key in wanted)  # raised undrawn
+    pending, lock = [key for key in wanted if key not in kept and not failed], threading.Lock()
 
     def draw():
         with lock:
@@ -435,7 +436,7 @@ def _ksg_estimate(index: str, dm: DelayMatrix, p: KsgParams, tau_max: int,
 
     if pending:  # so that a read of kept terms never waits behind the helper's queue
         beside(helper, drain, drain)
-    error = next((kept[key] for key in wanted if isinstance(kept[key], BicausalError)), None)
+    error = next((kept[key] for key in wanted if isinstance(kept.get(key), BicausalError)), None)
     if error is not None:  # raised as a copy, so that no traceback ties `dm` into a cycle
         raise copy.copy(error)
     (v_xy, deg_xy, t_xy), (v_yx, deg_yx, t_yx) = (

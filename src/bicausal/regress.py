@@ -96,10 +96,14 @@ def ols_fit(design: np.ndarray, target: np.ndarray) -> OlsResult:
 
 
 def kmeans(points, P: int, seed=0) -> np.ndarray:
-    """Seeded k-means: D^2-weighted init, Lloyd iterations until assignments
-    are stable or `_KMEANS_MAX_ITER` have run; empty clusters are re-seeded
-    at the farthest point. Points whose squared distances overflow raise
-    DistanceOverflowError."""
+    """Seeded k-means: D^2-weighted init, then Lloyd passes until the
+    assignment is stable or `_KMEANS_MAX_ITER` have run. A pass recomputes,
+    in index order, only the centres whose members changed, each as the mean
+    of its members in index order (a slice of a stable sort of the
+    assignment), so the centres are the full update's, bit for bit. An empty
+    cluster, in its turn, takes the farthest point; the cluster that point
+    left is recomputed in this pass if its index is larger, else in the next.
+    Points whose squared distances overflow raise DistanceOverflowError."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -120,19 +124,33 @@ def kmeans(points, P: int, seed=0) -> np.ndarray:
         else:
             centers[j] = pts[rng.integers(n)]
         d2 = np.minimum(d2, _sum_sq(pts, centers[j]))
+    return _lloyd(pts, centers)
 
-    assign = None
+
+def _lloyd(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """`kmeans`' Lloyd passes from these centres, which it updates in place."""
+    P, stale, assign = len(centers), np.ones(len(centers), dtype=bool), None
     for _ in range(_KMEANS_MAX_ITER):
         d2_all = _sum_sq(pts[:, None, :], centers)
-        new_assign = d2_all.argmin(axis=1)
-        for j in range(P):
-            member = new_assign == j
-            if member.any():
-                centers[j] = pts[member].mean(axis=0)
+        new_assign = d2_all.argmin(axis=1).astype(np.min_scalar_type(P - 1))
+        if assign is not None:
+            moved = new_assign != assign
+            stale[assign[moved]] = stale[new_assign[moved]] = True
+        if not stale.any():  # every empty cluster's centre is stale
+            break
+        counts = None
+        for j in (j for j in range(P) if stale[j]):  # a re-seed may make a later one stale
+            if counts is None:  # group the rows by cluster, again after a re-seed
+                counts = np.bincount(new_assign, minlength=P)
+                order, ends = np.argsort(new_assign, kind="stable"), np.cumsum(counts)
+            stale[j] = False
+            if counts[j]:  # rows.mean(axis=0), bit for bit, without its overhead
+                rows = pts[order[ends[j] - counts[j]:ends[j]]]
+                centers[j] = np.add.reduce(rows, axis=0) / counts[j]
             else:
                 far = d2_all.min(axis=1).argmax()
-                centers[j] = pts[far]
-                new_assign[far] = j
+                stale[new_assign[far]], counts = True, None
+                centers[j], new_assign[far] = pts[far], j
         if assign is not None and np.array_equal(assign, new_assign):
             break
         assign = new_assign

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import sys
 import threading
 import warnings
@@ -285,6 +286,32 @@ def test_manifest_contents(tmp_path):
     assert payload["helper_threads"] is False
     assert "directions_concurrent" not in payload
     assert (tmp_path / "m.json").exists()
+
+
+def test_manifest_records_blas(tmp_path, monkeypatch):
+    # the library numpy reports, and the thread variables as set (None when
+    # unset): nlgc's lstsq values depend on the BLAS thread count
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = SweepConfig(simulation="ulam", couplings=(0.2,), T=100, runs=1, indices=("te_hist",))
+    blas = write_manifest(tmp_path / "m.json", cfg)["blas"]
+    reported = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert blas == {"name": reported["name"], "version": reported["version"],
+                    "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+                    "MKL_NUM_THREADS": None}
+    assert json.loads((tmp_path / "m.json").read_text())["blas"] == blas
+
+
+def test_manifest_blas_unknown_to_numpy(tmp_path, monkeypatch):
+    # a numpy that reports no build dictionary leaves the library null
+    def show_config(mode="stdout"):
+        raise TypeError("show_config() takes no arguments")
+
+    monkeypatch.setattr(harness.np, "show_config", show_config)
+    cfg = SweepConfig(simulation="ulam", couplings=(0.2,), T=100, runs=1, indices=("te_hist",))
+    blas = write_manifest(tmp_path / "m.json", cfg)["blas"]
+    assert (blas["name"], blas["version"]) == (None, None)
 
 
 def test_manifest_directions_concurrent_follows_sweep_processes(tmp_path, monkeypatch):

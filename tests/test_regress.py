@@ -106,6 +106,11 @@ def test_kmeans_deterministic():
 def kmeans_reductions(pts, P, seed=0, max_iter=100):
     """k-means with its squared distances as numpy `.sum(axis=...)`
     reductions over difference arrays, the form `kmeans` replaced."""
+    return lloyd_reductions(pts, seed_reductions(pts, P, seed), max_iter)
+
+
+def seed_reductions(pts, P, seed=0):
+    """`kmeans_reductions`' D^2-weighted start centres."""
     n = pts.shape[0]
     rng = np.random.default_rng(seed)
     centers = np.empty((P, pts.shape[1]))
@@ -118,11 +123,18 @@ def kmeans_reductions(pts, P, seed=0, max_iter=100):
         else:
             centers[j] = pts[rng.integers(n)]
         d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def lloyd_reductions(pts, centers, max_iter=100):
+    """`kmeans_reductions`' Lloyd loop from the given centres: every pass
+    recomputes every centre from its own boolean mask."""
+    centers = centers.copy()
     assign = None
     for _ in range(max_iter):
         d2_all = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2_all.argmin(axis=1)
-        for j in range(P):
+        for j in range(len(centers)):
             member = new_assign == j
             if member.any():
                 centers[j] = pts[member].mean(axis=0)
@@ -147,6 +159,95 @@ def test_kmeans_equals_numpy_reductions_at_presets(simulation, T):
     for emb, seed in ((dm.x_emb, [0, 0]), (dm.y_emb, [0, 1]),
                       (np.round(dm.x_emb, 2), [3, 0])):
         assert np.array_equal(kmeans(emb, P, seed=seed), kmeans_reductions(emb, P, seed=seed))
+
+
+def assert_lloyd_equals_reductions(pts, centers):
+    pts = np.asarray(pts, dtype=float).reshape(len(pts), -1)
+    centers = np.asarray(centers, dtype=float).reshape(len(centers), -1)
+    got = regress._lloyd(pts, centers.copy())
+    assert np.array_equal(got, lloyd_reductions(pts, centers))
+
+
+@pytest.mark.parametrize("simulation,T", [("ulam", 1000), ("lp", 10_000),
+                                          ("henon_uni", 10_000), ("henon_bi_i", 10_000)])
+def test_lloyd_equals_reductions_from_kmeans_starts(simulation, T):
+    # the Lloyd loop that recomputes only the changed centres gives the
+    # centres of the one that recomputes them all, bit for bit, from kmeans'
+    # own D^2 starts (the numpy-reduction starts, which `kmeans` matches)
+    presets = harness.index_presets(simulation, T)
+    P = presets["nlgc"].P
+    for coupling, seed in ((0.0, 0), (0.4, 1)):
+        pair = harness.simulate_pair(simulation, (coupling, coupling), T, seed=seed)
+        dm = embed(pair, EmbeddingSpec(m=presets["m"]))
+        for side, emb in enumerate((dm.x_emb, dm.y_emb)):
+            assert_lloyd_equals_reductions(emb, seed_reductions(emb, P, seed=[seed, side]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_lloyd_equals_reductions_on_random_rounded_and_duplicated_points(m):
+    rng = np.random.default_rng(m)
+    for case in range(12):
+        pts = rng.normal(size=(int(rng.integers(40, 300)), m))
+        if case % 3 == 1:
+            pts = np.round(pts, 1)
+        elif case % 3 == 2:
+            pts = np.repeat(pts[: len(pts) // 4], 4, axis=0)
+        P = int(rng.integers(2, min(25, len(np.unique(pts, axis=0))) + 1))
+        assert_lloyd_equals_reductions(pts, seed_reductions(pts, P, seed=case))
+
+
+def first_pass_reseed(pts, centers):
+    """(empty cluster, cluster the farthest point leaves) of a first pass
+    with exactly one empty cluster."""
+    d2_all = ((pts[:, None] - centers[None, :]) ** 2)
+    assign = d2_all.argmin(axis=1)
+    (empty,) = np.setdiff1d(np.arange(len(centers)), assign)
+    return empty, assign[d2_all.min(axis=1).argmax()]
+
+
+def test_lloyd_equals_reductions_with_empty_clusters():
+    pts = np.array([0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 30.0])
+    # a start centre far outside the data, at the last index: the farthest
+    # point (30) leaves cluster 1, whose centre was computed with it and is
+    # stale for the next pass
+    assert first_pass_reseed(pts, np.array([1.5, 11.0, 100.0])) == (2, 1)
+    assert_lloyd_equals_reductions(pts, [1.5, 11.0, 100.0])
+    # the same at index 0: 30 leaves cluster 2, recomputed later in the pass
+    assert first_pass_reseed(pts, np.array([100.0, 1.5, 11.0])) == (0, 2)
+    assert_lloyd_equals_reductions(pts, [100.0, 1.5, 11.0])
+    # two coincident start centres: ties go to the smaller index, so the
+    # larger one's cluster is empty
+    assert first_pass_reseed(pts, np.array([1.5, 1.5, 11.0])) == (1, 2)
+    assert_lloyd_equals_reductions(pts, [1.5, 1.5, 11.0])
+    # 30 is the only member of cluster 2, which the re-seed of cluster 0
+    # empties: cluster 2 takes 30 back in its turn, leaving cluster 0 empty
+    lone = np.array([0.0, 1.0, 2.0, 3.0, 30.0])
+    assert first_pass_reseed(lone, np.array([100.0, 1.5, 20.0])) == (0, 2)
+    assert_lloyd_equals_reductions(lone, [100.0, 1.5, 20.0])
+    # 40 leaves cluster 1 for the empty cluster 2; the next pass moves no
+    # point and only recomputes cluster 1, and the loop stops there, before
+    # 6.9 would move to cluster 1's new centre
+    stops = np.array([0.0, 1.0, 2.0, 6.9, 10.0, 10.0, 11.0, 12.0, 12.0, 40.0])
+    assert first_pass_reseed(stops, np.array([3.0, 11.0, 100.0])) == (2, 1)
+    assert_lloyd_equals_reductions(stops, [3.0, 11.0, 100.0])
+    # three clusters are empty in the first pass and all take 10; in the
+    # second, cluster 1 is empty again and takes 8 from cluster 3, whose
+    # members had not changed, so it is recomputed later in that pass
+    assert_lloyd_equals_reductions([10.0, 6.0, 6.0, 8.0, 6.0], [13.0, -1.0, 14.0, 8.0])
+    # and in two dimensions, with several far and coincident starts
+    rng = np.random.default_rng(4)
+    pts2 = rng.normal(size=(200, 2))
+    starts = np.vstack([pts2[:6], pts2[:2], [[50.0, 50.0], [-40.0, 0.0]]])
+    assert_lloyd_equals_reductions(pts2, starts)
+
+
+@pytest.mark.parametrize("simulation,T", [("ulam", 1000), ("lp", 2000)])
+def test_lloyd_from_kmeans_centres_is_a_fixed_point(simulation, T):
+    presets = harness.index_presets(simulation, T)
+    pair = harness.simulate_pair(simulation, (0.4, 0.4), T, seed=0)
+    emb = embed(pair, EmbeddingSpec(m=presets["m"])).x_emb
+    centers = kmeans(emb, presets["nlgc"].P, seed=[0, 0])
+    assert np.array_equal(regress._lloyd(emb, centers.copy()), centers)
 
 
 # ---------------------------------------------------------------------------
