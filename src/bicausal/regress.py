@@ -109,7 +109,7 @@ def kmeans(points, P: int, seed=0) -> np.ndarray:
         pts = pts[:, None]
     n = pts.shape[0]
     check_distance_range(pts)
-    if P > len(np.unique(pts, axis=0)):
+    if P > _distinct_rows(pts):
         raise InsufficientPointsError("P exceeds the number of distinct points")
     rng = np.random.default_rng(seed)
 
@@ -125,6 +125,17 @@ def kmeans(points, P: int, seed=0) -> np.ndarray:
             centers[j] = pts[rng.integers(n)]
         d2 = np.minimum(d2, _sum_sq(pts, centers[j]))
     return _lloyd(pts, centers)
+
+
+def _distinct_rows(pts: np.ndarray) -> int:
+    """`len(np.unique(pts, axis=0))` for n >= 1 finite rows, without sorting
+    them as records: one column is counted by a 1-D `np.unique`, several by
+    the rows that differ from their predecessor in `np.lexsort` order. As in
+    `np.unique`, -0.0 and 0.0 are one value."""
+    if pts.shape[1] == 1:
+        return len(np.unique(pts[:, 0]))
+    rows = pts[np.lexsort(pts.T)]
+    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ sample is recorded: 10^4 iterations for the linear process, 10^5 for the
 chaotic maps.
 
 Ulam rings have one code path: `sim_ulam_batch` advances many rings as one
-array (a sweep worker passes all its rings), and `sim_ulam` is a batch of
-one. The state is checked against ESCAPE_THRESHOLD after every step
-divisible by 4096 and after the last; the batch marks each escaped ring on
-its own, and `sim_ulam` raises NumericalEscapeError for it.
+array, five ufunc calls and a copy per step for all of them (a sweep worker
+passes all its rings), and `sim_ulam` is a batch of one. The state is
+checked against ESCAPE_THRESHOLD after every step divisible by 4096 and
+after the last; the batch marks each escaped ring on its own, and
+`sim_ulam` raises NumericalEscapeError for it.
 """
 
 from __future__ import annotations
@@ -164,44 +165,43 @@ def _ulam_rings(s0, lam, T: int):
     Returns x and y (shape (U, T), sites 0 and 1 of each recorded step) and a
     per-ring escape flag. The state is held site-major as one flat vector,
     s[l * U + u] = site l of ring u, behind a copy of the last site (row 0
-    of `state`) that closes the ring, so every step is five elementwise ops
-    on contiguous memory plus that copy. Each element sees the same ops in
-    the same order as a lone ring, so each row is bit-identical to it.
+    of `state`) that closes the ring. A step is five ufunc calls on U * N_L
+    elements; at a sweep's few rings, dispatch rather than arithmetic is most
+    of its cost, so the calls are bound once and take positional outputs and
+    a 0-d constant (a Python float is converted on every call), and the copy
+    is a slice assignment. A row is bit-identical to a lone ring (same ops).
     """
     U, N_L = s0.shape
-    lam_all = np.tile(lam, N_L)
-    keep_all = np.tile(1.0 - lam, N_L)
+    lam_all, keep_all = np.tile(lam, N_L), np.tile(1.0 - lam, N_L)
     state = np.empty((N_L + 1, U))
     state[1:] = s0.T
     state[0] = state[-1]
     flat = state.reshape(-1)
-    s, pred_src, head, tail = flat[U:], flat[:-U], flat[:U], flat[-U:]
-    sites01 = flat[U:3 * U]
-    pred = np.empty_like(s)
-    tmp = np.empty_like(s)
+    s, pred_src, head, tail, sites01 = flat[U:], flat[:-U], flat[:U], flat[-U:], flat[U:3 * U]
+    pred, tmp, two = np.empty_like(s), np.empty_like(s), np.array(2.0)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     record = np.empty((T, 2 * U))
 
-    def advance(first: int, stop: int, recorded: bool):
+    def advance(steps: int):
         # s_new[l] = f(lam * s[l-1] + (1-lam) * s[l]), ring-closed, f(s) = 2 - s^2
-        for step in range(first, stop):
-            np.multiply(pred_src, lam_all, out=pred)
-            np.multiply(s, keep_all, out=tmp)
-            np.add(pred, tmp, out=pred)
-            np.multiply(pred, pred, out=tmp)
-            np.subtract(2.0, tmp, out=s)
-            np.copyto(head, tail)
-            if recorded:
-                record[step - TRANSIENTS_MAP] = sites01
+        for _ in range(steps):
+            multiply(pred_src, lam_all, pred)
+            multiply(s, keep_all, tmp)
+            add(pred, tmp, pred)
+            multiply(pred, pred, tmp)
+            subtract(two, tmp, s)
+            head[:] = tail
 
     total = TRANSIENTS_MAP + T
     escaped = np.zeros(U, dtype=bool)
     first = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # the state is checked after every step divisible by 4096 and after
-        # the last one
+        # the state is checked after every step divisible by 4096 and after the last
         for check in [*range(0, total, 4096), total - 1]:
-            advance(first, min(check + 1, TRANSIENTS_MAP), False)
-            advance(max(first, TRANSIENTS_MAP), check + 1, True)
+            advance(max(0, min(check + 1, TRANSIENTS_MAP) - first))
+            for step in range(max(first, TRANSIENTS_MAP), check + 1):
+                advance(1)
+                record[step - TRANSIENTS_MAP] = sites01
             escaped |= ~np.all(np.abs(state[1:]) <= ESCAPE_THRESHOLD, axis=0)
             first = check + 1
     return record[:, :U].T, record[:, U:].T, escaped

@@ -103,6 +103,31 @@ def test_kmeans_deterministic():
     assert np.array_equal(kmeans(pts, 5, seed=7), kmeans(pts, 5, seed=7))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_distinct_rows_equals_unique_rows(m):
+    # kmeans' guard counts what np.unique(axis=0) counts, on random, rounded
+    # (np.round leaves -0.0 beside 0.0) and shuffled duplicated sets
+    rng = np.random.default_rng(10 + m)
+    for case in range(30):
+        pts = rng.normal(size=(int(rng.integers(1, 300)), m))
+        if case % 3 == 1:
+            pts = np.round(pts, int(rng.integers(0, 2)))
+        elif case % 3 == 2:
+            pts = np.repeat(pts[: max(1, len(pts) // 4)], 4, axis=0)
+            rng.shuffle(pts)
+        assert regress._distinct_rows(pts) == len(np.unique(pts, axis=0)), (m, case)
+
+
+def test_distinct_rows_counts_signed_zeros_once():
+    rng = np.random.default_rng(0)
+    for m in (1, 2, 3):
+        pts = rng.choice([-0.0, 0.0, 1.0], size=(40, m))
+        assert np.signbit(pts).any() and (pts == 0).any()
+        assert regress._distinct_rows(pts) == len(np.unique(pts, axis=0)) == 2 ** m
+    with pytest.raises(InsufficientPointsError):
+        kmeans(np.array([-0.0, 0.0, 1.0]), 3, seed=0)
+
+
 def kmeans_reductions(pts, P, seed=0, max_iter=100):
     """k-means with its squared distances as numpy `.sum(axis=...)`
     reductions over difference arrays, the form `kmeans` replaced."""

@@ -197,6 +197,40 @@ def test_ulam_batch_matches_one_ring_loop_full_transient():
     _assert_batches_match(params, (3,))
 
 
+def _assert_batches_match_keeping_errstate(params, sizes):
+    # under a raising error state, so that arithmetic outside the
+    # simulator's own errstate would raise, and that state is left as it was
+    with np.errstate(over="raise", invalid="raise"):
+        before = np.geterr()
+        _assert_batches_match(params, sizes)
+        assert np.geterr() == before
+
+
+@pytest.mark.parametrize("N_L, T", [(2, 300), (3, 300), (100, 1), (100, 393)])
+def test_ulam_batch_matches_one_ring_loop_edge_cases(monkeypatch, N_L, T):
+    # the smallest rings, a single recorded step, and T = 393, whose last
+    # step (7,800 + 392 = 8,192) is also a step divisible by 4096; couplings
+    # exactly 0 and 1 in every batch
+    monkeypatch.setattr(simulate, "TRANSIENTS_MAP", 7_800)
+    params = [UlamParams(lam=lam, T=T, seed=seed, N_L=N_L)
+              for seed in range(2) for lam in (0.0, 0.35, 1.0)]
+    _assert_batches_match_keeping_errstate(params, (1, len(params)))
+
+
+def test_ulam_batch_splits_at_batch_rings(monkeypatch):
+    monkeypatch.setattr(simulate, "TRANSIENTS_MAP", 7_800)
+    params = [UlamParams(lam=round(0.03 * i, 10), T=200, seed=i % 4)
+              for i in range(simulate.ULAM_BATCH_RINGS + 1)]
+    _assert_batches_match_keeping_errstate(params, (len(params),))
+
+
+def test_ulam_batch_of_eleven_matches_one_ring_loop_full_transient():
+    # a ulam-sweep worker's batch (21 desk-grid points over two workers)
+    # through the whole 10^5-step transient, couplings 0 to 1 included
+    params = [UlamParams(lam=round(0.1 * i, 10), T=1000, seed=i % 3) for i in range(11)]
+    _assert_batches_match_keeping_errstate(params, (len(params),))
+
+
 def test_ulam_batch_escape_is_per_ring(monkeypatch):
     # just below the attractor's edge at 2, some rings reach the threshold at
     # a check and some do not; lam=0.25 seed 0 reaches it at the check after
