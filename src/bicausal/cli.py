@@ -220,7 +220,7 @@ def _cmd_indices(args) -> int:
     simulation, T = PRESET_IDS[args.preset]
     estimates = harness.compute_indices(pair, simulation, T, _indices_list(args.indices))
     out = os.path.join(_outdir(args), "indices.csv")
-    harness.write_csv(out, ["index", "direction", "value", "elapsed_seconds", "status"],
+    harness.write_csv(out, harness.CSV_HEADER[harness.CSV_HEADER.index("run") + 1:],
                       (row for est in estimates for row in est.rows()))
     print(out)
     if all(est.status != STATUS_OK for est in estimates):

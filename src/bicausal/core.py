@@ -21,6 +21,7 @@ from .neighbors import PointSet
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
+STATUSES = (STATUS_OK, STATUS_DEGENERATE)
 
 # direction -> (own series, other series): "xy" (X -> Y) explains y's future
 # from x, "yx" (Y -> X) x's future from y
@@ -283,7 +284,7 @@ class IndexEstimate:
     status: str = STATUS_OK
 
     def __post_init__(self):
-        if self.status not in (STATUS_OK, STATUS_DEGENERATE):
+        if self.status not in STATUSES:
             raise ValidationError(f"unknown status {self.status!r}")
 
     @property

@@ -10,7 +10,8 @@ import numpy as np
 from .core import (STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, both_directions,
                    check_integer, sides)
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, _sum_sq, knn_all, knn_points, pairwise_distance
+from .neighbors import (PointSet, _sum_sq, check_distance_range, knn_all, knn_points,
+                        pairwise_distance)
 
 _SQDIST_FLOOR = float(np.finfo(float).eps)
 
@@ -116,7 +117,7 @@ def _smallest_library_knn(emb, start, k):
     library point, a stable argsort (equal distances to the smaller library
     position) and its first k columns, as `knn_points` returns them."""
     lib = emb[start:start + k + 1]
-    dist = pairwise_distance(lib[None] - emb[:, None, :])
+    dist = pairwise_distance(lib, emb[:, None, :])
     own = np.arange(k + 1)
     dist[start + own, own] = np.inf
     idx = np.argsort(dist, axis=-1, kind="stable")[:, :k]
@@ -173,6 +174,8 @@ def ccm_rho_curve(dm: DelayMatrix, p: CcmParams, sizes: list[int],
     for size in sizes:
         if not (dm.m + 2 <= size <= n):
             raise ValidationError("library sizes must lie in [m+2, n_rows]")
+    # checked before the smallest library's distances or rho's squares overflow
+    check_distance_range(np.column_stack([dm.emb(own), target]))
     return [_rho_for_size(dm, own, target, size, k, p.n_t, p.seed) for size in sizes]
 
 

@@ -1,5 +1,7 @@
 """Sweep execution, the simulation and index tables, per-simulation parameter
-presets, correlation matrices, timing summaries and CSV/manifest persistence.
+presets, correlation matrices, timing summaries and CSV/manifest persistence:
+sweep.csv's columns are `Record`'s fields, a manifest records every
+`SweepConfig` field, and `SweepResult.values` reads every statistic.
 
 `SIMULATION_TABLE` holds each simulated system's facts once: its coupling
 range, its simulator, its synchrony windows and the published index
@@ -29,17 +31,18 @@ import math
 import os
 import platform
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy
 
 from . import __version__, crossmap, info, regress, simulate
 from .core import (
+    SIDES,
     STATUS_DEGENERATE,
-    STATUS_OK,
+    STATUSES,
     EmbeddingSpec,
     IndexEstimate,
     SeriesPair,
@@ -128,13 +131,14 @@ def _entry(simulation: str) -> Simulation:
 def index_presets(simulation: str, T: int) -> dict:
     """Published parameter set for every index on one simulated system.
 
-    The parameters of the published length nearest to T on a log scale
-    (|log(T / length)| in floating point; a tie goes to the shorter length):
-    `_SHARED_PRESETS` with that length's changes from SIMULATION_TABLE.
+    `_SHARED_PRESETS` with the changes from SIMULATION_TABLE of the published
+    length with the smallest |log(T / length)| in floating point. No integer
+    T lies exactly midway: ulam's T = 10^4, between 10^3 and 10^5, takes
+    10^5's parameters, as |log(0.1)| rounds below log(10).
     """
     presets = _entry(simulation).presets
     check_integer(T, "T")
-    nearest = min(presets, key=lambda t: (abs(math.log(T / t)), t))
+    nearest = min(presets, key=lambda t: abs(math.log(T / t)))
     out = dict(_SHARED_PRESETS)
     for key, value in presets[nearest].items():
         out[key] = replace(out[key], **value) if isinstance(value, dict) else value
@@ -182,9 +186,6 @@ def check_index_names(names) -> tuple:
         raise ValidationError(f"repeated indices: {repeated}")
     return names
 
-
-CSV_HEADER = ["simulation", "lambda_xy", "lambda_yx", "run", "index",
-              "direction", "value", "elapsed_seconds", "status"]
 
 # ---------------------------------------------------------------------------
 # sweep configuration and records
@@ -259,6 +260,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class Record:
+    """One row of sweep.csv: one direction's estimate at a grid point and run."""
+
     simulation: str
     lambda_xy: float
     lambda_yx: float
@@ -268,6 +271,9 @@ class Record:
     value: float
     elapsed_seconds: float
     status: str
+
+
+CSV_HEADER = [f.name for f in fields(Record)]
 
 
 @dataclass
@@ -286,25 +292,24 @@ class SweepResult:
         present = {r.index for r in self.records}
         return [n for n in INDEX_NAMES if n in present]
 
-    def values(self, index: str, direction: str) -> dict:
+    def values(self, index: str, statistic: str) -> dict:
+        """(lambda_xy, lambda_yx, run) -> the "xy" or "yx" estimate, or the directed
+        index "d" (`core.directed_index`: NaN unless both are finite) of each xy key."""
+        if statistic == "d":
+            yx = self.values(index, "yx")
+            return {k: directed_index(v, yx.get(k, float("nan")))
+                    for k, v in self.values(index, "xy").items()}
+        if statistic not in SIDES:
+            raise ValidationError(f"unknown statistic {statistic!r}")
         return {(r.lambda_xy, r.lambda_yx, r.run): r.value
-                for r in self.records if r.index == index and r.direction == direction}
+                for r in self.records if r.index == index and r.direction == statistic}
 
     def directed_by_point(self, index: str) -> dict:
-        """Grid point -> list of D (`directed_series`), one per run."""
+        """Grid point -> list of D (`values(index, "d")`), one per run."""
         out = {}
-        for (lxy, lyx, _), d in zip(*self.directed_series(index)):
+        for (lxy, lyx, _), d in sorted(self.values(index, "d").items()):
             out.setdefault((lxy, lyx), []).append(d)
         return out
-
-    def directed_series(self, index: str) -> tuple[list, np.ndarray]:
-        """Keys (point, run) sorted, with the matching D values
-        (`core.directed_index`: NaN unless both directions are finite)."""
-        xy = self.values(index, "xy")
-        yx = self.values(index, "yx")
-        keys = sorted(xy)
-        vals = np.array([directed_index(xy[k], yx.get(k, float("nan"))) for k in keys])
-        return keys, vals
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +455,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 def status_counts(res: SweepResult) -> dict:
     """Number of records per status, zeros included."""
-    counts = dict.fromkeys((STATUS_OK, STATUS_DEGENERATE), 0)
-    for rec in res.records:
-        counts[rec.status] += 1
-    return counts
+    return dict.fromkeys(STATUSES, 0) | Counter(rec.status for rec in res.records)
 
 
 def timing_table(res: SweepResult) -> dict:
@@ -483,25 +485,13 @@ def corr_matrix(res: SweepResult, kind: str = "pearson", statistic: str = "d"):
     names = res.index_names()
     if len(names) < 2:
         raise ValidationError("need at least two indices")
-    columns = {}
-    for name in names:
-        if statistic == "d":
-            keys, vals = res.directed_series(name)
-        elif statistic in ("xy", "yx"):
-            mapping = res.values(name, statistic)
-            keys = sorted(mapping)
-            vals = np.array([mapping[k] for k in keys])
-        else:
-            raise ValidationError(f"unknown statistic {statistic!r}")
-        if len(vals) < 3:
-            raise ValidationError("need at least three records per index")
-        columns[name] = dict(zip(keys, vals))
+    columns = {name: res.values(name, statistic) for name in names}
+    if min(map(len, columns.values())) < 3:
+        raise ValidationError("need at least three records per index")
 
     mat = np.full((len(names), len(names)), np.nan)
     for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if j < i:
-                continue
+        for j, b in enumerate(names[i:], i):
             common = sorted(set(columns[a]) & set(columns[b]))
             va = np.array([columns[a][k] for k in common])
             vb = np.array([columns[b][k] for k in common])
@@ -534,9 +524,7 @@ def write_csv(path, header, rows):
 
 
 def sweep_to_csv(res: SweepResult, path):
-    write_csv(path, CSV_HEADER, (
-        [r.simulation, r.lambda_xy, r.lambda_yx, r.run, r.index, r.direction, r.value,
-         r.elapsed_seconds, r.status] for r in res.records))
+    write_csv(path, CSV_HEADER, ([getattr(r, name) for name in CSV_HEADER] for r in res.records))
 
 
 def _csv_rows(path, what: str):
@@ -567,19 +555,19 @@ def sweep_from_csv(path) -> SweepResult:
     (_, header), *rows = _csv_rows(path, "sweep")
     if header != CSV_HEADER:
         raise ValidationError(f"unexpected sweep CSV header: {header}")
+    # column -> conversion, else str (NA or empty: NaN); strict: a row of another length fails
+    convert = {"lambda_xy": float, "lambda_yx": float, "run": int, "elapsed_seconds": float,
+               "value": lambda v: float("nan") if v in ("NA", "") else float(v)}
     records = []
     for line, row in rows:
         with _csv_line(path, line):
-            sim, lxy, lyx, run, index, direction, value, elapsed, status = row
-            _entry(sim), check_index_names([index]), sides(direction)
-            if records and sim != records[0].simulation:
-                raise ValueError(f"simulation {sim!r} after rows of {records[0].simulation!r}")
-            if status not in (STATUS_OK, STATUS_DEGENERATE):
-                raise ValueError(f"unknown status {status!r}")
-            records.append(Record(
-                sim, float(lxy), float(lyx), int(run), index, direction,
-                float("nan") if value in ("NA", "") else float(value),
-                float(elapsed), status))
+            r = Record(*(convert.get(c, str)(v) for c, v in zip(CSV_HEADER, row, strict=True)))
+            _entry(r.simulation), check_index_names([r.index]), sides(r.direction)
+            if records and r.simulation != (first := records[0].simulation):
+                raise ValueError(f"simulation {r.simulation!r} after rows of {first!r}")
+            if r.status not in STATUSES:
+                raise ValueError(f"unknown status {r.status!r}")
+            records.append(r)
     if not records:
         raise ValidationError("empty sweep CSV")
     return SweepResult(records[0].simulation, records)
@@ -625,14 +613,7 @@ def write_manifest(path, cfg: SweepConfig, extra: dict | None = None):
     with contextlib.suppress(TypeError, KeyError):  # numpy < 1.25 reports no dicts
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
-        "simulation": cfg.simulation,
-        "T": cfg.T,
-        "runs": cfg.runs,
-        "couplings": [list(pt) for pt in cfg.couplings],
-        "indices": list(cfg.indices),
-        "base_seed": cfg.base_seed,
-        "perturbation": None if cfg.perturbation is None else asdict(cfg.perturbation),
-        "workers": cfg.workers,
+        **asdict(cfg),
         # every unit's decision: with a helper thread, estimates overlap in
         # time, and a unit's elapsed seconds may add up to more than its wall
         # time

@@ -358,7 +358,7 @@ def _cmi_ksg_impl(a, b, c, p: KsgParams) -> tuple[float, bool]:
             raise ValidationError(f"block {name} holds a NaN or infinite value")
     if p.k >= n:
         raise InsufficientPointsError("k must be smaller than the sample count")
-    if not (A.std(axis=0).any() and B.std(axis=0).any()):
+    if not ((A != A[:1]).any() and (B != B[:1]).any()):
         # a constant block carries no information; jittered noise would only
         # fake an estimate
         return float("nan"), True

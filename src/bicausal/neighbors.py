@@ -54,8 +54,9 @@ def _sum_sq(a: np.ndarray, b: np.ndarray | None = None, rows=...) -> np.ndarray:
     return out
 
 
-def pairwise_distance(diff: np.ndarray) -> np.ndarray:
-    """Euclidean distance along the last axis of a difference array.
+def pairwise_distance(a: np.ndarray, b: np.ndarray | None = None, rows=...) -> np.ndarray:
+    """Euclidean distance between a[rows] and b along the last axis, or the
+    length of a[rows] without b (a difference array).
 
     This is the package's single decisive distance formula: kd-trees only
     pre-select candidates, and any ordering or tie decision is made on these
@@ -66,7 +67,7 @@ def pairwise_distance(diff: np.ndarray) -> np.ndarray:
     `np.sqrt((diff * diff).sum(axis=-1))` exactly, because numpy adds so
     short a contiguous axis in the same order.
     """
-    return np.sqrt(_sum_sq(diff))
+    return np.sqrt(_sum_sq(a, b, rows))
 
 
 def check_distance_range(points: np.ndarray):
@@ -126,8 +127,9 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int,
     """Bulk k-NN of arbitrary query points against `pset`.
 
     exclude_index[i] >= 0 removes that member index from query i's candidates
-    (use it for self-exclusion when the queries live in the set). Returns
-    (indices, distances) of shape (n_queries, k), each row in exact
+    (self-exclusion when the queries live in the set), -1 none; a non-finite
+    query, or other than one entry in [-1, n) per query, is a ValidationError.
+    Returns (indices, distances) of shape (n_queries, k), each row in exact
     (distance, index) order: the tree's k+1 candidates (plus the excluded
     member, at most the whole set) in a stable argsort, with rows that hold
     an exact equal pair lexsorted, and rows tied across the cut at k settled
@@ -137,10 +139,13 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int,
         raise ValidationError("k must be >= 1")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     nq = queries.shape[0]
+    if not np.isfinite(queries).all():
+        raise ValidationError("queries must be finite")
     if exclude_index is None:
         exclude_index = np.full(nq, -1, dtype=int)
-    else:
-        exclude_index = np.asarray(exclude_index, dtype=int)
+    exclude_index = np.asarray(exclude_index, dtype=int)
+    if exclude_index.shape != (nq,) or ((exclude_index < -1) | (exclude_index >= pset.n)).any():
+        raise ValidationError(f"exclude_index needs one entry in [-1, {pset.n}) per query")
     max_excluded = int((exclude_index >= 0).any())
     if k + max_excluded > pset.n:
         raise InsufficientPointsError(f"asked for {k} neighbours of {pset.n} points")
@@ -148,8 +153,10 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int,
     kq = min(k + max_excluded + 1, pset.n)
     # a range keeps the result 2-D even when kq is 1
     idx = pset.tree.query(queries, k=range(1, kq + 1))[1]
+    if (idx == pset.n).any():  # the tree's index of a neighbour it lost to overflow
+        raise DistanceOverflowError("squared distances to a query overflow")
     # decisive distances come from the package formula, not the tree's
-    dist = np.sqrt(_sum_sq(pset.points, queries[:, None, :], idx))
+    dist = pairwise_distance(pset.points, queries[:, None, :], idx)
     dist[idx == exclude_index[:, None]] = np.inf
     order = np.argsort(dist, axis=-1, kind="stable")
     dist = np.take_along_axis(dist, order, axis=-1)
@@ -181,7 +188,7 @@ def knn_points(pset: PointSet, queries: np.ndarray, k: int,
         slot = np.repeat(np.arange(len(rows)), lens)
         keep = cand != exclude_index[rows[slot]]
         cand, slot = cand[keep], slot[keep]
-        d = np.sqrt(_sum_sq(pset.points, queries[rows[slot]], cand))
+        d = pairwise_distance(pset.points, queries[rows[slot]], cand)
         # by row, then distance; lexsort is stable, so equal distances keep
         # the index order. Each row has at least k candidates.
         order = np.lexsort((d, slot))

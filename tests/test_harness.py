@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 import sys
 import threading
 import warnings
@@ -179,6 +180,26 @@ def test_extreme_inputs_give_ok_or_degenerate_estimates(simulation, exponent, va
     assert {e.status for e in estimates} <= {"ok", "degenerate"}
 
 
+@pytest.mark.parametrize("scale_x, scale_y", [(1e200, 1e200), (1e200, 1.0), (1.0, 1e200)])
+def test_data_past_overflow_leaks_no_runtime_warning(scale_x, scale_y):
+    # squared distances and variances of data past about 1e154 overflow: an
+    # index whose distances overflow is degenerate, one that needs none keeps
+    # its value, and no step squares the data on the way (the KSG estimator's
+    # constant-block test and ccm's smallest library and rho used to). Scaling
+    # all its blocks alike leaves the KSG estimate as it is
+    pair = harness.simulate_pair("ulam", (0.4, 0.0), 300, 0)
+    scaled = SeriesPair(pair.x * scale_x, pair.y * scale_y)
+    a, b, c = pair.x[1:], pair.y[:-1], pair.x[:-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = harness.compute_indices(scaled, "ulam", 300)
+        scaled_cmi = info.cmi_ksg(a * 1e200, b * 1e200, c * 1e200)
+    assert {e.index: e.status for e in estimates} == {
+        **dict.fromkeys(("egc", "nlgc", "pi", "si1", "si2", "ccm"), "degenerate"),
+        **dict.fromkeys(("te_hist", "ete_hist", "te_ksg", "ctir"), "ok")}
+    assert scaled_cmi == info.cmi_ksg(a, b, c)
+
+
 def test_corr_matrix_properties(small_ulam_sweep):
     names, mat = corr_matrix(small_ulam_sweep, "pearson", "d")
     assert names == ["te_hist", "ete_hist"]
@@ -260,6 +281,113 @@ def test_csv_na_token(tmp_path):
     sweep_to_csv(res, path)
     assert ",NA," in path.read_text()
     assert np.isnan(sweep_from_csv(path).records[0].value)
+
+
+
+# sweep.csv as the writer with Record's fields retyped as a column list wrote it
+_SWEEP_CSV_TEXT = (
+    "simulation,lambda_xy,lambda_yx,run,index,direction,value,elapsed_seconds,status\r\n"
+    "lp,0.0,0.25,0,egc,xy,NA,0.5,degenerate\r\n"
+    "lp,0.0,0.25,0,egc,yx,NA,0.5,degenerate\r\n"
+    "lp,0.0,0.25,0,te_hist,xy,-0.0,1e-300,ok\r\n"
+    "lp,0.0,1.0,12,te_hist,yx,1e-300,0.1,ok\r\n")
+
+
+def test_sweep_csv_text_and_records_round_trip(tmp_path):
+    # a NaN value, a negative zero, a subnormal-adjacent value and a
+    # degenerate row: the text is unchanged and reads back to the records
+    res = SweepResult("lp", [
+        Record("lp", 0.0, 0.25, 0, "egc", "xy", float("nan"), 0.5, "degenerate"),
+        Record("lp", 0.0, 0.25, 0, "egc", "yx", float("nan"), 0.5, "degenerate"),
+        Record("lp", 0.0, 0.25, 0, "te_hist", "xy", -0.0, 1e-300, "ok"),
+        Record("lp", 0.0, 1.0, 12, "te_hist", "yx", 1e-300, 0.1, "ok")])
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(res, path)
+    with open(path, newline="") as fh:
+        assert fh.read() == _SWEEP_CSV_TEXT
+    # repr tells NaN, -0.0 and an int run from a float one
+    assert list(map(repr, sweep_from_csv(path).records)) == list(map(repr, res.records))
+
+
+@pytest.mark.parametrize("row", ["lp,0.0,0.25,0,egc,xy,NA,0.5",
+                                 "lp,0.0,0.25,0,egc,xy,NA,0.5,degenerate,extra"])
+def test_sweep_csv_row_of_wrong_length_names_its_line(tmp_path, row):
+    path = tmp_path / "sweep.csv"
+    path.write_text(_SWEEP_CSV_TEXT + row + "\n")
+    with pytest.raises(ValidationError, match="line 6"):
+        sweep_from_csv(path)
+
+
+def _sweep_with_gaps():
+    """Two indices at eight (point, run) keys; te_hist's xy is NA at one key
+    and te_ksg has no yx row at another."""
+    records = []
+    for i, point in enumerate([(0.0, 0.0), (0.0, 0.25), (0.0, 0.5), (0.0, 1.0)]):
+        for run in range(2):
+            t = 4 * i + run
+            for index, xy, yx in (("te_hist", math.sin(t), math.cos(t) / 3),
+                                  ("te_ksg", t * t / 16, math.sin(2 * t))):
+                records.append(Record("lp", *point, run, index, "xy", xy, 0.0, "ok"))
+                records.append(Record("lp", *point, run, index, "yx", yx, 0.0, "ok"))
+    na = records.index(Record("lp", 0.0, 0.25, 0, "te_hist", "xy", math.sin(4), 0.0, "ok"))
+    records[na] = dataclasses.replace(records[na], value=float("nan"), status="degenerate")
+    records.remove(Record("lp", 0.0, 0.5, 1, "te_ksg", "yx", math.sin(18), 0.0, "ok"))
+    return SweepResult("lp", records)
+
+
+def test_values_of_every_statistic_equal_an_oracle():
+    res = _sweep_with_gaps()
+    for index in ("te_hist", "te_ksg"):
+        by_direction = {d: {(r.lambda_xy, r.lambda_yx, r.run): r.value for r in res.records
+                            if r.index == index and r.direction == d} for d in ("xy", "yx")}
+        xy, yx = by_direction["xy"], by_direction["yx"]
+        # D at every key with an xy record, NaN unless both values are finite
+        d = {k: v - yx[k] if k in yx and math.isfinite(v) and math.isfinite(yx[k])
+             else float("nan") for k, v in xy.items()}
+        for statistic, want in (("xy", xy), ("yx", yx), ("d", d)):
+            got = res.values(index, statistic)
+            assert list(map(repr, got.items())) == list(map(repr, want.items()))
+        assert repr(res.directed_by_point(index)) == repr(
+            {pt: [d[pt + (run,)] for run in range(2)] for pt in res.grid_points()})
+    assert len(res.values("te_ksg", "yx")) == 7
+    assert math.isnan(res.values("te_hist", "d")[0.0, 0.25, 0])
+    assert math.isnan(res.values("te_ksg", "d")[0.0, 0.5, 1])
+    with pytest.raises(ValidationError, match="unknown statistic"):
+        res.values("te_hist", "D")
+
+
+# corr_matrix's off-diagonal entry on `_sweep_with_gaps`, as computed when
+# "d" was read through a separate directed-series reader
+_GAPS_CORR = {("d", "pearson"): -0.18746903164047338, ("d", "spearman"): -0.2,
+              ("xy", "pearson"): -0.04670293465476449, ("xy", "spearman"): 0.03571428571428572,
+              ("yx", "pearson"): -0.2527023450390447, ("yx", "spearman"): -0.21428571428571433}
+
+
+@pytest.mark.parametrize("statistic, kind", sorted(_GAPS_CORR))
+def test_corr_matrix_on_gaps_equals_the_earlier_reader(statistic, kind):
+    names, mat = corr_matrix(_sweep_with_gaps(), kind, statistic)
+    assert names == ["te_hist", "te_ksg"]
+    assert np.allclose(np.diag(mat), 1.0)
+    assert mat[0, 1] == mat[1, 0] == pytest.approx(_GAPS_CORR[statistic, kind], rel=1e-12)
+    with pytest.raises(ValidationError, match="unknown statistic"):
+        corr_matrix(_sweep_with_gaps(), kind, "D")
+
+
+@pytest.mark.parametrize("perturbation, encoded", [
+    (None, None),
+    (PerturbationSpec(kind="round", decimals=2, seed=5),
+     {"kind": "round", "target": "both", "factor": 10.0, "decimals": 2, "fraction": 0.1,
+      "noise_var": 0.1, "seed": 5})])
+def test_manifest_records_every_config_field(tmp_path, perturbation, encoded):
+    cfg = SweepConfig(simulation="henon_bi_i", couplings=((0.1, 0.2), 0.3), T=150, runs=2,
+                      indices=("pi", "te_hist"), base_seed=4, perturbation=perturbation,
+                      workers=2)
+    write_manifest(tmp_path / "m.json", cfg)
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert {f.name: manifest[f.name] for f in dataclasses.fields(SweepConfig)} == {
+        "simulation": "henon_bi_i", "couplings": [[0.1, 0.2], [0.3, 0.3]], "T": 150,
+        "runs": 2, "indices": ["pi", "te_hist"], "base_seed": 4, "perturbation": encoded,
+        "workers": 2}
 
 
 def test_pair_csv_roundtrip(tmp_path):

@@ -5,7 +5,7 @@ from scipy.spatial import cKDTree
 
 from bicausal import harness
 from bicausal.core import EmbeddingSpec, embed
-from bicausal.errors import InsufficientPointsError, ValidationError
+from bicausal.errors import DistanceOverflowError, InsufficientPointsError, ValidationError
 from bicausal.info import _strict_counts, _tree_counts
 from bicausal.neighbors import (
     PointSet,
@@ -137,6 +137,53 @@ def test_knn_points_external_queries_with_exclusion():
     for row, (q, ex) in enumerate(zip(queries, exclude)):
         want = brute_knn(lib, q, 4, exclude=int(ex))
         assert idx[row].tolist() == [i for i, _ in want]
+
+
+def _fifty_points():
+    return PointSet(np.random.default_rng(0).normal(size=(50, 2)))
+
+
+@pytest.mark.parametrize("exclude", [[60, -1], [-2, -1], [50, -1]])
+def test_knn_points_exclude_index_outside_the_set(exclude):
+    # an entry outside [-1, n) excluded nothing: a member query found itself
+    pset = _fifty_points()
+    with pytest.raises(ValidationError, match="exclude_index"):
+        knn_points(pset, pset.points[:2], 3, exclude)
+
+
+@pytest.mark.parametrize("n_exclude", [1, 3])
+def test_knn_points_exclude_index_of_another_length(n_exclude):
+    pset = _fifty_points()
+    with pytest.raises(ValidationError, match="exclude_index"):
+        knn_points(pset, pset.points[:2], 3, np.arange(n_exclude))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_points_non_finite_query(bad):
+    pset = _fifty_points()
+    with pytest.raises(ValidationError, match="finite"):
+        knn_points(pset, [[0.0, 0.0], [bad, 0.0]], 3)
+
+
+def test_knn_points_query_past_overflow():
+    # the tree reports a neighbour whose squared distance overflowed as
+    # index n, which used to index past the set
+    pset = _fifty_points()
+    with pytest.raises(DistanceOverflowError):
+        knn_points(pset, [[0.0, 0.0], [1e200, 0.0]], 3)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_pairwise_distance_between_rows_equals_difference_array(d):
+    # knn_points and ccm's smallest library pass the points and queries, not
+    # their difference array: the same subtractions and squares, bit for bit
+    rng = np.random.default_rng(d)
+    a, q = np.round(rng.normal(size=(2, 120, d)), 1)
+    idx = rng.integers(0, 120, size=(120, 7))
+    assert np.array_equal(pairwise_distance(a, q[:, None, :], idx),
+                          pairwise_distance(a[idx] - q[:, None, :]))
+    assert np.array_equal(pairwise_distance(a[:5], q[:, None, :]),
+                          pairwise_distance(a[:5][None] - q[:, None, :]))
 
 
 @settings(max_examples=60, deadline=None)
