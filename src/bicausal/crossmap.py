@@ -65,6 +65,9 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, I
         si2 = mean log( r^R(t) / r^R(t | other) )
 
     Squared euclidean distances throughout; identical series give si2 = 0.
+    Both estimates are degenerate when a direction floors a neighbour
+    distance at machine epsilon, or has an r(t) of 0 or one not finite, where
+    its si1 is NaN.
     Each series' R-NN graph is the first R columns of the matrix's own graph
     (`DelayMatrix.knn_graph`). Both estimates come from this one call and
     carry its per-direction times: yx reads the x graph, then the y graph,
@@ -91,12 +94,15 @@ def si_pair(dm: DelayMatrix, p: SiParams = SiParams()) -> tuple[IndexEstimate, I
         r_own = msd(own_idx)
         r_map = msd(mapped_idx)
         r_all = _mean_sq_dist_to_all(emb)
+        # no spread (a constant series, or one whose squares underflow): si1
+        # has no value, where its log would be of 0
+        spread = bool(np.isfinite(r_all).all() and (r_all > 0).all())
         floored = bool((r_map < _SQDIST_FLOOR).any() or (r_own < _SQDIST_FLOOR).any())
         r_map = np.maximum(r_map, _SQDIST_FLOOR)
         r_own = np.maximum(r_own, _SQDIST_FLOOR)
-        si1 = float(np.mean(np.log(r_all / r_map)))
+        si1 = float(np.mean(np.log(r_all / r_map))) if spread else math.nan
         si2 = float(np.mean(np.log(r_own / r_map)))
-        return si1, si2, floored
+        return si1, si2, floored or not spread
 
     ((si1_xy, si2_xy, f_xy), t_xy), ((si1_yx, si2_yx, f_yx), t_yx) = both_directions(direction)
     status = STATUS_DEGENERATE if (f_yx or f_xy) else STATUS_OK

@@ -12,7 +12,7 @@ import numpy as np
 from .core import (STATUS_DEGENERATE, STATUS_OK, DelayMatrix, IndexEstimate, both_directions,
                    check_integer, sides)
 from .errors import InsufficientPointsError, ValidationError
-from .neighbors import PointSet, _sum_sq, check_distance_range, knn_all
+from .neighbors import PointSet, _sum_sq, check_distance_range, distinct_rows, knn_all
 
 # relative floor below which a local self-fit counts as deterministic
 _EPS_FLOOR = 1e-13
@@ -109,7 +109,7 @@ def kmeans(points, P: int, seed=0) -> np.ndarray:
         pts = pts[:, None]
     n = pts.shape[0]
     check_distance_range(pts)
-    if P > _distinct_rows(pts):
+    if P > len(distinct_rows(pts)[0]):
         raise InsufficientPointsError("P exceeds the number of distinct points")
     rng = np.random.default_rng(seed)
 
@@ -118,24 +118,14 @@ def kmeans(points, P: int, seed=0) -> np.ndarray:
     d2 = _sum_sq(pts, centers[0])
     for j in range(1, P):
         total = d2.sum()
-        if total > 0:
-            probs = d2 / total
-            centers[j] = pts[rng.choice(n, p=probs)]
+        if total > 0:  # rng.choice(n, p=d2 / total)'s draw, without its checks of p
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            centers[j] = pts[cdf.searchsorted(rng.random(), side="right")]
         else:
             centers[j] = pts[rng.integers(n)]
         d2 = np.minimum(d2, _sum_sq(pts, centers[j]))
     return _lloyd(pts, centers)
-
-
-def _distinct_rows(pts: np.ndarray) -> int:
-    """`len(np.unique(pts, axis=0))` for n >= 1 finite rows, without sorting
-    them as records: one column is counted by a 1-D `np.unique`, several by
-    the rows that differ from their predecessor in `np.lexsort` order. As in
-    `np.unique`, -0.0 and 0.0 are one value."""
-    if pts.shape[1] == 1:
-        return len(np.unique(pts[:, 0]))
-    rows = pts[np.lexsort(pts.T)]
-    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:

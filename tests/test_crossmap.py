@@ -1,4 +1,6 @@
+import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from bicausal import (
     sim_lp,
 )
 from bicausal.core import STATUS_DEGENERATE
-from bicausal import crossmap
+from bicausal import crossmap, harness
 from bicausal.crossmap import _smallest_library_knn, converged_value
 from bicausal.errors import InsufficientPointsError, ValidationError
 from bicausal.neighbors import PointSet, knn_points
@@ -93,6 +95,25 @@ def test_si_zero_distance_floor():
     si1, si2 = si_pair(embed(pair, EmbeddingSpec(m=1)), SiParams(R=2))
     assert si1.status == STATUS_DEGENERATE
     assert np.isfinite(si1.value_yx)
+
+
+def test_si_on_a_constant_series_is_degenerate_without_warning():
+    # a constant x has r(t) = 0: si1 on the x side has no value, where its log
+    # was -inf with numpy's divide-by-zero warning. Its x graph searches one
+    # distinct row (U = 1): each point's neighbours are the others by index
+    base = harness.simulate_pair("ulam", (0.4, 0.0), 1000, seed=0)
+    dm = embed(SeriesPair(np.full(1000, 0.3), base.y), EmbeddingSpec(m=1))
+    R = harness.index_presets("ulam", 1000)["si1"].R
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        si1, si2 = si_pair(dm, SiParams(R=R))
+    assert si1.status == si2.status == STATUS_DEGENERATE
+    assert math.isnan(si1.value_yx)
+    assert math.isfinite(si1.value_xy) and math.isfinite(si2.value_xy) and si2.value_yx == 0.0
+    idx, dist = dm.knn_graph("x", R, crossmap.knn_all)
+    n = dm.n_rows
+    want = np.arange(R + 1) + (np.arange(R + 1) >= np.arange(n)[:, None])
+    assert np.array_equal(idx, want[:, :R]) and not dist.any()
 
 
 def test_si_times_each_direction(monkeypatch):

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,6 +12,7 @@ from bicausal.info import _strict_counts, _tree_counts
 from bicausal.neighbors import (
     PointSet,
     _sum_sq,
+    distinct_rows,
     knn,
     knn_all,
     knn_points,
@@ -352,6 +355,134 @@ def test_knn_points_matches_full_lexsort_ordering():
         want = lexsort_knn_points(pset, queries, k, exclude)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+def per_member_knn_points(pset, queries, k, exclude_index=None):
+    """`knn_points` before it searched distinct rows: k+1 candidates per
+    query (plus the excluded member) from the tree over every member, a
+    stable argsort, rows holding an exact equal pair lexsorted, and rows
+    tied across the cut at k settled by ball queries over every member."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    nq = len(queries)
+    exclude_index = (np.full(nq, -1) if exclude_index is None
+                     else np.asarray(exclude_index, dtype=int))
+    kq = min(k + int((exclude_index >= 0).any()) + 1, pset.n)
+    idx = pset.tree.query(queries, k=range(1, kq + 1))[1]
+    dist = pairwise_distance(pset.points, queries[:, None, :], idx)
+    dist[idx == exclude_index[:, None]] = np.inf
+    order = np.argsort(dist, axis=-1, kind="stable")
+    dist = np.take_along_axis(dist, order, axis=-1)
+    idx = np.take_along_axis(idx, order, axis=-1)
+    eq = np.nonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))[0]
+    idx[eq] = np.take_along_axis(idx[eq], np.lexsort((idx[eq], dist[eq]), axis=-1), axis=-1)
+    out_idx, out_dist = idx[:, :k], dist[:, :k]
+    tie = (np.nonzero(dist[:, k] - dist[:, k - 1] <= 1e-9 * dist[:, k])[0]
+           if kq > k else [])
+    for start in range(0, len(tie), 256):
+        rows = tie[start:start + 256]
+        radius = dist[rows, k - 1]
+        radius = radius + np.maximum(1e-12, 1e-6 * radius)
+        balls = pset.tree.query_ball_point(queries[rows], r=radius, return_sorted=True)
+        lens = [len(ball) for ball in balls]
+        cand = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=sum(lens))
+        slot = np.repeat(np.arange(len(rows)), lens)
+        keep = cand != exclude_index[rows[slot]]
+        cand, slot = cand[keep], slot[keep]
+        d = pairwise_distance(pset.points, queries[rows[slot]], cand)
+        order = np.lexsort((d, slot))
+        chosen = order[np.searchsorted(slot, np.arange(len(rows)))[:, None] + np.arange(k)]
+        out_idx[rows], out_dist[rows] = cand[chosen], d[chosen]
+    return out_idx, out_dist
+
+
+def grouped_cases():
+    """(name, points) sets whose distinct rows are all, some, few or one of
+    their points, with signed zeros and with squared differences that
+    underflow to distance 0 between distinct rows."""
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        pts = rng.normal(size=(300, dim))
+        for decimals in (None, 1, 0):
+            yield f"d{dim}-round{decimals}", pts if decimals is None else np.round(pts, decimals)
+    yield "constant", np.full((40, 2), 0.3)
+    yield "two", np.array([[0.5], [-0.5]])
+    yield "two-equal", np.array([[0.5], [0.5]])
+    signed = rng.choice([-0.0, 0.0, 1.0], size=(60, 2))
+    assert np.signbit(signed).any() and (signed == 0).any()
+    yield "signed-zeros", signed
+    # differences near 1e-170 square to 0: distinct rows at distance 0
+    tiny = np.round(rng.normal(size=(60, 2)), 0) * 1e-170
+    assert len(distinct_rows(tiny)[0]) > 3
+    assert (pairwise_distance(tiny[:, None, :] - tiny[None]) == 0).all()
+    yield "underflow", np.vstack([tiny, np.round(rng.normal(size=(20, 2)), 0)])
+
+
+@pytest.mark.parametrize("exclusion", ["self", "partial", "none", "external"])
+def test_knn_points_matches_per_member_search(exclusion):
+    # the search over distinct rows against the per-member search it
+    # replaced and the scan, at every k that fits, and knn_all against both
+    rng = np.random.default_rng(12)
+    for name, pts in grouped_cases():
+        n = len(pts)
+        pset = PointSet(pts)
+        queries = pts
+        exclude = {"self": np.arange(n),
+                   "partial": np.where(rng.random(n) < 0.5, np.arange(n), -1),
+                   "none": None}.get(exclusion)
+        if exclusion == "external":
+            # other points, some coinciding with members, and members that
+            # exclude some other member
+            members = pts[:20]
+            queries = np.vstack([pts[rng.integers(0, n, size=20)] + rng.choice([0.0, 0.5], (20, 1)),
+                                 members])
+            exclude = np.concatenate([np.full(20, -1), rng.integers(-1, n, size=len(members))])
+        most = n - int(exclude is not None and (exclude >= 0).any())
+        for k in sorted({k for k in (1, 2, 5, 12, most) if 1 <= k <= most}):
+            got = knn_points(pset, queries, k, exclude)
+            want = per_member_knn_points(pset, queries, k, exclude)
+            assert np.array_equal(got[0], want[0]), (name, k)
+            assert np.array_equal(got[1], want[1]), (name, k)
+            for row in range(0, len(queries), 7):
+                ex = -1 if exclude is None else int(exclude[row])
+                scan = brute_knn(pts, queries[row], k, exclude=ex)
+                assert got[0][row].tolist() == [i for i, _ in scan], (name, k, row)
+            if exclusion == "self":
+                graph = knn_all(pset, k)
+                assert np.array_equal(graph[0], got[0]) and np.array_equal(graph[1], got[1])
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 0])
+@pytest.mark.parametrize("simulation,T,point", [
+    ("ulam", 1000, (0.4, 0.0)),
+    ("lp", 2000, (0.0, 0.3)),
+])
+def test_knn_all_matches_per_member_search_on_embeddings(simulation, T, point, decimals):
+    # rounded delay embeddings, whose distinct rows are few (0 decimals) to
+    # most (raw) of their points, at the graph widths the estimators read
+    pair = harness.simulate_pair(simulation, point, T, seed=0)
+    dm = embed(pair, EmbeddingSpec(m=harness.index_presets(simulation, T)["m"]))
+    for emb in (dm.x_emb, dm.y_emb, dm.z_emb):
+        pset = PointSet(emb if decimals is None else np.round(emb, decimals))
+        for k in (2, 30):
+            got = knn_all(pset, k)
+            want = per_member_knn_points(pset, pset.points, k, np.arange(pset.n))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_distinct_rows_first_and_inverse(m):
+    # rows numbered by first occurrence: each point is its row's first
+    # member's point, and no two rows are equal
+    rng = np.random.default_rng(m)
+    for decimals in (None, 1, 0):
+        pts = rng.normal(size=(200, m))
+        pts = pts if decimals is None else np.round(pts, decimals)
+        first, inverse = distinct_rows(pts)
+        assert np.array_equal(pts, pts[first[inverse]])
+        assert (np.diff(first) > 0).all() and (first[inverse] <= np.arange(len(pts))).all()
+        assert np.array_equal(inverse[first], np.arange(len(first)))
+        assert len(first) == len(np.unique(pts, axis=0))
 
 
 @pytest.mark.parametrize("decimals", [None, 1, 0])

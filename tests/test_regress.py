@@ -21,6 +21,7 @@ from bicausal import (
 from bicausal import harness, regress
 from bicausal.core import STATUS_DEGENERATE
 from bicausal.errors import InsufficientPointsError, ValidationError
+from bicausal.neighbors import distinct_rows
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def test_distinct_rows_equals_unique_rows(m):
         elif case % 3 == 2:
             pts = np.repeat(pts[: max(1, len(pts) // 4)], 4, axis=0)
             rng.shuffle(pts)
-        assert regress._distinct_rows(pts) == len(np.unique(pts, axis=0)), (m, case)
+        assert len(distinct_rows(pts)[0]) == len(np.unique(pts, axis=0)), (m, case)
 
 
 def test_distinct_rows_counts_signed_zeros_once():
@@ -123,7 +124,7 @@ def test_distinct_rows_counts_signed_zeros_once():
     for m in (1, 2, 3):
         pts = rng.choice([-0.0, 0.0, 1.0], size=(40, m))
         assert np.signbit(pts).any() and (pts == 0).any()
-        assert regress._distinct_rows(pts) == len(np.unique(pts, axis=0)) == 2 ** m
+        assert len(distinct_rows(pts)[0]) == len(np.unique(pts, axis=0)) == 2 ** m
     with pytest.raises(InsufficientPointsError):
         kmeans(np.array([-0.0, 0.0, 1.0]), 3, seed=0)
 
@@ -184,6 +185,39 @@ def test_kmeans_equals_numpy_reductions_at_presets(simulation, T):
     for emb, seed in ((dm.x_emb, [0, 0]), (dm.y_emb, [0, 1]),
                       (np.round(dm.x_emb, 2), [3, 0])):
         assert np.array_equal(kmeans(emb, P, seed=seed), kmeans_reductions(emb, P, seed=seed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 1000])
+def test_d2_draw_equals_generator_choice(n):
+    # kmeans draws each D^2-weighted centre as Generator.choice(n, p=d2 / total)
+    # does on this numpy (a cumulative sum, normalised, searched with one
+    # random()), without choice's checks of p: the same index and the same
+    # generator state after, with zero-weight rows among the weights
+    for seed in range(40):
+        rng = np.random.default_rng([seed, n])
+        d2 = rng.random(n) ** 2
+        d2[rng.random(n) < (0.5 if n > 2 else 0.3)] = 0.0
+        if not d2.any():
+            d2[int(rng.integers(n))] = 1.0
+        total = d2.sum()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            drawn = cdf.searchsorted(ours.random(), side="right")
+            assert drawn == theirs.choice(n, p=d2 / total) and d2[drawn] > 0
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("P", [2, 5])
+def test_kmeans_equals_numpy_reductions_with_zero_weight_rows(P):
+    # duplicated rows have zero D^2 weight once one of them is a centre
+    rng = np.random.default_rng(P)
+    for case in range(10):
+        pts = np.repeat(rng.normal(size=(P + case, 2)), 1 + case % 3, axis=0)
+        assert np.array_equal(kmeans(pts, P, seed=case), kmeans_reductions(pts, P, seed=case))
+    assert np.array_equal(kmeans([0.0, 1.0], 2, seed=4), kmeans_reductions(
+        np.array([[0.0], [1.0]]), 2, seed=4))
 
 
 def assert_lloyd_equals_reductions(pts, centers):
